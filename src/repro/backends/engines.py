@@ -15,8 +15,9 @@ from __future__ import annotations
 import json
 
 import pandas as pd
-from pyspark.sql import DataFrame as SparkDataFrame, SparkSession
+from pyspark.sql import SparkSession
 
+from repro.backends.spark import load_dataframe, view_name
 from repro.core.connector import DatasetNotRegistered, DBConnector
 from repro.core.rewrite import RewriteRules
 from repro.cypher.engine import CypherEngine
@@ -35,12 +36,8 @@ class SqlPPConnector(DBConnector):
         self._registered: set[tuple[str, str]] = set()
 
     def register(self, namespace: str, collection: str, data) -> None:
-        df = (
-            data
-            if isinstance(data, SparkDataFrame)
-            else self.spark.createDataFrame(data)
-        )
-        df.createOrReplaceTempView(f"{namespace}_{collection}")
+        df = load_dataframe(self.spark, data)
+        df.createOrReplaceTempView(view_name(namespace, collection))
         self._registered.add((namespace, collection))
 
     def initialize(self, namespace: str, collection: str) -> None:
@@ -54,7 +51,7 @@ class SqlPPConnector(DBConnector):
         return self.spark.sql(query).toPandas()
 
     def get_columns(self, namespace: str, collection: str) -> list[tuple[str, str]]:
-        return self.spark.table(f"{namespace}_{collection}").dtypes
+        return self.spark.table(view_name(namespace, collection)).dtypes
 
 
 class MongoConnector(DBConnector):
@@ -72,11 +69,7 @@ class MongoConnector(DBConnector):
         self._namespaces: dict[tuple[str, str], str] = {}
 
     def register(self, namespace: str, collection: str, data) -> None:
-        df = (
-            data
-            if isinstance(data, SparkDataFrame)
-            else self.spark.createDataFrame(data)
-        )
+        df = load_dataframe(self.spark, data)
         self.engine.registry[collection] = df
         self._namespaces[(namespace, collection)] = collection
 
@@ -90,11 +83,6 @@ class MongoConnector(DBConnector):
     def send_query(self, query: str, namespace: str, collection: str) -> pd.DataFrame:
         pipeline = json.loads(query)
         return self.engine.execute(pipeline, collection).toPandas()
-
-    def postprocess(self, result: pd.DataFrame) -> pd.DataFrame:
-        # _id is engine-internal; PolyFrame's limit/return_all rules project
-        # it away, but guard mid-pipeline debugging calls too.
-        return result
 
     def get_columns(self, namespace: str, collection: str) -> list[tuple[str, str]]:
         return self.engine.registry[collection].dtypes
@@ -112,11 +100,7 @@ class CypherConnector(DBConnector):
         self._labels: set[str] = set()
 
     def register(self, namespace: str, collection: str, data) -> None:
-        df = (
-            data
-            if isinstance(data, SparkDataFrame)
-            else self.spark.createDataFrame(data)
-        )
+        df = load_dataframe(self.spark, data)
         # Cypher has no namespaces; datasets are node labels (paper q1).
         self.engine.registry[collection] = df
         self._labels.add(collection)

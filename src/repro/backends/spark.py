@@ -9,6 +9,13 @@ Catalyst supplies the "efficient query optimizer" the paper requires of
 every PolyFrame backend: the deeply nested subqueries produced by
 incremental formation are collapsed by CollapseProject and
 PushDownPredicates before execution (see tests/test_catalyst_plans.py).
+
+Loading rule, shared by every Spark-backed connector (:func:`load_dataframe`):
+pandas data is loaded into Spark once, when it is registered; a Spark
+DataFrame is used exactly as given. As in the paper, an action is then one
+query over data already in the backend. A bare ``createDataFrame(pdf)``
+would instead keep every row inside each query plan as a ``LocalRelation``,
+which Catalyst re-folds in the driver on every action.
 """
 from __future__ import annotations
 
@@ -17,6 +24,26 @@ from pyspark.sql import DataFrame as SparkDataFrame, SparkSession
 
 from repro.core.connector import DatasetNotRegistered, DBConnector
 from repro.core.rewrite import RewriteRules
+
+
+def load_dataframe(
+    spark: SparkSession, data: SparkDataFrame | pd.DataFrame
+) -> SparkDataFrame:
+    """The Spark DataFrame a connector registers for ``data``.
+
+    pandas data is loaded once, here: ``localCheckpoint(eager=True)``
+    materializes the rows in Spark's block manager and cuts the lineage,
+    so plans scan the stored partitions instead of carrying the rows as a
+    ``LocalRelation`` that the optimizer evaluates on every action.
+    ``cache()`` is not used: cached plans still pay the cache manager's
+    plan matching and the columnar decode on every action.
+
+    A Spark DataFrame is returned unchanged, so parquet-backed or
+    ``cache()``d inputs keep their own scans.
+    """
+    if isinstance(data, SparkDataFrame):
+        return data
+    return spark.createDataFrame(data).localCheckpoint(eager=True)
 
 
 def view_name(namespace: str, collection: str) -> str:
@@ -38,11 +65,7 @@ class SparkConnector(DBConnector):
         self, namespace: str, collection: str, data: SparkDataFrame | pd.DataFrame
     ) -> None:
         """Expose a Spark (or pandas) DataFrame as a PolyFrame dataset."""
-        df = (
-            data
-            if isinstance(data, SparkDataFrame)
-            else self.spark.createDataFrame(data)
-        )
+        df = load_dataframe(self.spark, data)
         df.createOrReplaceTempView(view_name(namespace, collection))
         self._registered.add((namespace, collection))
 

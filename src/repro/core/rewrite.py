@@ -88,7 +88,8 @@ class RewriteRules:
     Section headers in the config file are documentation (the paper groups
     rules into QUERIES / ATTRIBUTES / ARITHMETIC STATEMENTS / ... sections);
     rule keys are globally unique, so lookups are section-free. ``[META]``
-    entries (``language``, ``std_kind``, ...) are exposed via :meth:`meta`.
+    entries (``language``, ``std_kind``, ``string_quote``, ``string_escape``,
+    ...) are exposed via :meth:`meta`.
     """
 
     def __init__(self, rules: dict[str, str], meta: dict[str, str] | None = None):
@@ -183,9 +184,14 @@ class RewriteRules:
         if isinstance(value, (int, float)):
             return repr(value)
         if isinstance(value, str):
-            escaped = str(value).replace("\\", "\\\\")
             quote = self.meta("string_quote", "'") or "'"
-            escaped = escaped.replace(quote, "\\" + quote)
+            style = self.meta("string_escape", "backslash")
+            if style == "doubled":  # standard SQL: 'it''s', a backslash is plain
+                escaped = value.replace(quote, quote * 2)
+            elif style == "backslash":  # 'it\'s', 'a\\b'
+                escaped = value.replace("\\", "\\\\").replace(quote, "\\" + quote)
+            else:
+                raise ValueError(f"unknown string_escape {style!r} in [META]")
             return self.apply("str_literal", value=escaped)
         raise TypeError(f"unsupported literal type: {type(value).__name__}")
 

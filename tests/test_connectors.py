@@ -88,13 +88,14 @@ class TestNamespaceIsolation:
         assert len(PolyFrame("A", "w", conn)) == 5
         assert len(PolyFrame("B", "w", conn)) == 7
 
-    def test_reregistration_replaces(self, wdata):
+    def test_reregistration_replaces(self, spark, wdata):
         from repro.backends.duck import DuckDBConnector
+        from repro.backends.spark import SparkConnector
 
-        conn = DuckDBConnector()
-        conn.register("A", "w", wdata.head(5))
-        conn.register("A", "w", wdata.head(9))
-        assert len(PolyFrame("A", "w", conn)) == 9
+        for conn in (DuckDBConnector(), SparkConnector(spark)):
+            conn.register("A", "w", wdata.head(5))
+            conn.register("A", "w", wdata.head(9))
+            assert len(PolyFrame("A", "w", conn)) == 9
 
 
 class TestSparkInputs:
@@ -111,6 +112,25 @@ class TestSparkInputs:
         conn = DuckDBConnector()
         conn.register("S", "w", spark.createDataFrame(wdata.head(25)))
         assert len(PolyFrame("S", "w", conn)) == 25
+
+    @pytest.mark.parametrize("name", ["sparksql", "sqlpp", "mongo", "cypher"])
+    def test_pandas_rows_are_not_in_the_plan(self, backends, monkeypatch, name):
+        # pandas data is loaded once at registration, so the plan scans the
+        # loaded partitions instead of carrying the rows as a LocalRelation
+        conn = backends[name]
+        sent = []
+        spark_df_type = type(conn.spark.range(1))
+        to_pandas = spark_df_type.toPandas
+
+        def record(df):
+            sent.append(df)
+            return to_pandas(df)
+
+        monkeypatch.setattr(spark_df_type, "toPandas", record)
+        pf, _ = polyframes(conn)
+        pf[pf["ten"] == 3][["unique1"]].head(2)
+        plan = sent[-1]._jdf.queryExecution().optimizedPlan().toString()
+        assert "LocalRelation" not in plan
 
 
 class TestMongoConnectorSpecifics:

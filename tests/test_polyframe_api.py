@@ -102,6 +102,17 @@ class TestComparisonsAndLogicals:
         v = wdata["string4"].iloc[0]
         assert len(spf[spf["string4"] == v]) == int((wdata["string4"] == v).sum())
 
+    def test_string_literal_escaping(self, backend):
+        # quotes and backslashes must reach every backend in its own
+        # string syntax: 'it''s' on DuckDB, 'it\'s' on Spark SQL, ...
+        _, conn = backend
+        pdf = pd.DataFrame({"name": ["it's", "a\\b", 'q"d', "its", "ab", "qd"]})
+        conn.register("Esc", "escapes", pdf)
+        pf = PolyFrame("Esc", "escapes", conn)
+        for value in ["it's", "a\\b", 'q"d']:
+            got = pf[pf["name"] == value].toPandas()
+            assert got["name"].tolist() == pdf[pdf["name"] == value]["name"].tolist()
+
 
 class TestColumnActions:
     def test_agg_by_name(self, spf, wdata):

@@ -229,7 +229,11 @@ class TestLiterals:
         assert load_language("mongo").literal(True) == "true"
 
     def test_quote_escaping(self):
-        assert load_language("sql").literal("O'Brien") == "'O\\'Brien'"
+        # standard SQL doubles the quote; Spark SQL escapes with a backslash
+        assert load_language("sql").literal("O'Brien") == "'O''Brien'"
+        assert load_language("sql").literal("a\\b") == "'a\\b'"
+        assert load_language("sparksql").literal("O'Brien") == "'O\\'Brien'"
+        assert load_language("sparksql").literal("a\\b") == "'a\\\\b'"
 
     def test_unsupported_type(self):
         with pytest.raises(TypeError):
