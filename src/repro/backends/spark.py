@@ -4,6 +4,10 @@ PolyFrame's generated Spark SQL text is executed with ``spark.sql`` over
 temporary views. A dataset ``namespace.collection`` is registered as the
 temp view ``{namespace}_{collection}`` (Spark temp views live in a flat
 namespace), which is exactly the name the ``sparksql.ini`` q1 rule forms.
+:class:`SparkConnector` is the base of every Spark-backed connector (see
+``repro.backends.engines``): they share its registration, initialization
+and schema introspection, and each runs an action as one ``spark.sql``
+call on Spark SQL text.
 
 Catalyst supplies the "efficient query optimizer" the paper requires of
 every PolyFrame backend: the deeply nested subqueries produced by
@@ -46,34 +50,56 @@ def load_dataframe(
     return spark.createDataFrame(data).localCheckpoint(eager=True)
 
 
+#: The namespace of a Mongo or Cypher engine query run without one.
+DEFAULT_NAMESPACE = "Default"
+
+
 def view_name(namespace: str, collection: str) -> str:
     """Flat temp-view name for a namespaced dataset."""
     return f"{namespace}_{collection}"
 
 
 class SparkConnector(DBConnector):
-    """Executes PolyFrame's generated Spark SQL via ``spark.sql``."""
+    """Executes PolyFrame's generated Spark SQL via ``spark.sql``.
+
+    The base of every Spark-backed connector: a dataset
+    ``namespace.collection`` is the temp view ``view_name(namespace,
+    collection)``. Subclasses for other languages set :attr:`language`
+    and translate in :meth:`preprocess` or :meth:`send_query`.
+
+    Temp views belong to the session, so every Spark-backed connector on
+    one session shares the view of a ``namespace.collection``. The Mongo
+    and Cypher subclasses compile from :attr:`columns`: a view replaced by
+    other code with a different schema must be registered again on them.
+    """
 
     language = "sparksql"
 
     def __init__(self, spark: SparkSession, rules: RewriteRules | None = None):
         super().__init__(rules)
         self.spark = spark
-        self._registered: set[tuple[str, str]] = set()
+        #: temp-view name -> its columns when this connector registered (or
+        #: first initialized) it; the Mongo and Cypher compilers read them,
+        #: so turning a query into Spark SQL text makes no Spark call
+        self.columns: dict[str, list[str]] = {}
 
     def register(
         self, namespace: str, collection: str, data: SparkDataFrame | pd.DataFrame
     ) -> None:
         """Expose a Spark (or pandas) DataFrame as a PolyFrame dataset."""
+        view = view_name(namespace, collection)
         df = load_dataframe(self.spark, data)
-        df.createOrReplaceTempView(view_name(namespace, collection))
-        self._registered.add((namespace, collection))
+        df.createOrReplaceTempView(view)
+        self.columns[view] = df.columns
 
     def initialize(self, namespace: str, collection: str) -> None:
-        if (namespace, collection) not in self._registered and not (
-            self.spark.catalog.tableExists(view_name(namespace, collection))
-        ):
+        view = view_name(namespace, collection)
+        if view in self.columns:
+            return
+        if not self.spark.catalog.tableExists(view):
             raise DatasetNotRegistered(f"{namespace}.{collection}")
+        # a view created in Spark directly: its columns are captured now
+        self.columns[view] = self.spark.table(view).columns
 
     def send_query(self, query: str, namespace: str, collection: str) -> pd.DataFrame:
         return self.spark.sql(query).toPandas()

@@ -1,15 +1,16 @@
-"""Mini Cypher interpreter over Spark DataFrames (Neo4j stand-in).
+"""Mini Cypher engine (Neo4j stand-in), compiled to Spark SQL.
 
 PolyFrame's ``cypher.ini`` rules generate linear Cypher of exactly the
 paper's Appendix-G shape: one ``MATCH`` anchoring a node variable ``t``,
 a chain of ``WITH`` clauses (each consuming the previous one — the
 incremental query formation), and a final ``RETURN`` (+ ``LIMIT``).
-This engine executes that subset on Spark DataFrames so the Cypher code
-path runs end-to-end offline (DESIGN.md §2).
+This engine compiles that subset to one Spark SQL query and runs it with
+one ``spark.sql`` call, as the SQL++ transpiler does, so the Cypher code
+path runs end-to-end offline (DESIGN.md §2) and is planned by Catalyst.
 
-Execution model: the current row stream is a Spark DataFrame whose
-columns are the properties of the map/node currently bound to ``t``.
-Clauses:
+Compilation model: each clause wraps the query so far in one more
+``SELECT``, whose columns are the properties of the map/node currently
+bound to ``t``. Clauses:
 
 * ``MATCH (t: Label)``               — scan the registered label
 * ``MATCH (r: Label)``               — bind a second node (paper's join,
@@ -25,13 +26,18 @@ Clauses:
 
 Leaf expressions are translated textually to Spark SQL (``t.attr`` →
 column, ``stDevP``→``stddev_pop``, ``apoc.convert.toInteger``→``CAST``),
-which keeps the interpreter small while remaining genuinely executable.
+never inside string literals. Compiling makes no Spark call: column lists
+come from the schema captured when each label was registered
+(:attr:`repro.backends.spark.SparkConnector.columns`).
 """
 from __future__ import annotations
 
 import re
 
-from pyspark.sql import Column, DataFrame, functions as F
+from pyspark.sql import DataFrame, SparkSession
+
+from repro.backends.spark import DEFAULT_NAMESPACE, view_name
+from repro.translate import SqlQuery, outside_literals, quote_ident as q, replace_call
 
 _AGG_HEAD_RE = re.compile(r"^\s*(min|max|avg|count|stddev_pop|sum)\s*\(", re.IGNORECASE)
 
@@ -43,9 +49,7 @@ class CypherEngineError(ValueError):
 def _split_top_level(text: str, sep: str = ",") -> list[str]:
     """Split on ``sep`` outside quotes/parens/braces/brackets."""
     parts, depth, quote, start = [], 0, None, 0
-    i = 0
-    while i < len(text):
-        ch = text[i]
+    for i, ch in enumerate(text):
         if quote:
             if ch == quote:
                 quote = None
@@ -58,61 +62,58 @@ def _split_top_level(text: str, sep: str = ",") -> list[str]:
         elif ch == sep and depth == 0:
             parts.append(text[start:i])
             start = i + 1
-        i += 1
     parts.append(text[start:])
     return [p.strip() for p in parts if p.strip()]
 
 
-def _replace_call(text: str, func: str, template: str) -> str:
-    """Paren-matched ``func(args)`` → ``template.format(args)``."""
-    pat = re.compile(re.escape(func) + r"\s*\(", re.IGNORECASE)
-    while True:
-        m = pat.search(text)
-        if m is None:
-            return text
-        depth, j = 1, m.end()
-        while j < len(text) and depth:
-            if text[j] == "(":
-                depth += 1
-            elif text[j] == ")":
-                depth -= 1
-            j += 1
-        text = text[: m.start()] + template.format(text[m.end() : j - 1]) + text[j:]
+def _translate(expr: str) -> str:
+    out = replace_call(expr, "apoc.convert.toInteger", "CAST({0} AS INT)")
+    out = replace_call(out, "apoc.convert.toString", "CAST({0} AS STRING)")
+    out = re.sub(r"\bstDevP\s*\(", "stddev_pop(", out)
+    out = re.sub(r"\bt\.(\w+)", r"\1", out)  # t.attr -> column attr
+    return re.sub(r"\br\.(\w+)", r"__r_\1", out)  # r.attr -> prefixed column
 
 
 def _to_sql(expr: str) -> str:
     """Translate a leaf Cypher expression into a Spark SQL expression."""
-    out = _replace_call(expr, "apoc.convert.toInteger", "CAST({0} AS INT)")
-    out = _replace_call(out, "apoc.convert.toString", "CAST({0} AS STRING)")
-    out = re.sub(r"\bstDevP\s*\(", "stddev_pop(", out)
-    out = re.sub(r"\bt\.(\w+)", r"\1", out)  # t.attr -> column attr
-    out = re.sub(r"\br\.(\w+)", r"__r_\1", out)  # r.attr -> prefixed column
-    return out
+    return outside_literals(expr, _translate)
 
 
 class CypherEngine:
-    """Executes PolyFrame's linear Cypher against registered labels."""
+    """Compiles PolyFrame's linear Cypher over registered labels to Spark
+    SQL and runs each query with one ``spark.sql`` call.
 
-    def __init__(self, registry: dict[str, DataFrame]):
-        self.registry = dict(registry)
+    ``columns`` maps each registered temp view (``view_name(namespace,
+    label)``) to its column names.
+    """
+
+    def __init__(self, spark: SparkSession, columns: dict[str, list[str]]):
+        self.columns = columns
+        # Bound once: the engine's DataFrame is the action's only one, and a
+        # wrapper later put on the session must not see its query again.
+        self.sql = spark.sql
 
     # ------------------------------------------------------------------
-    def execute(self, query: str) -> DataFrame:
-        df: DataFrame | None = None
+    def execute(self, query: str, namespace: str = DEFAULT_NAMESPACE) -> DataFrame:
+        return self.sql(self.compile(query, namespace))
+
+    def compile(self, query: str, namespace: str = DEFAULT_NAMESPACE) -> str:
+        """The Spark SQL text of ``query``; labels resolve in ``namespace``."""
+        out: SqlQuery | None = None
         pending_match: str | None = None  # label awaiting its join WHERE
-        lines = [ln.strip() for ln in query.strip().splitlines() if ln.strip()]
-        i = 0
-        while i < len(lines):
-            line = lines[i]
+        for line in (ln.strip() for ln in query.strip().splitlines()):
+            if not line:
+                continue
             # LIMIT may trail a RETURN on its own line
             if m := re.fullmatch(r"LIMIT\s+(\d+)", line, re.IGNORECASE):
-                df = self._need(df).limit(int(m.group(1)))
+                out = self._need(out).keep(f" LIMIT {int(m.group(1))}")
             elif m := re.fullmatch(r"MATCH\s*\(\s*(\w+)\s*:\s*(\w+)\s*\)", line):
                 var, label = m.group(1), m.group(2)
-                if df is None:
+                if out is None:
                     if var != "t":
                         raise CypherEngineError("anchor variable must be 't'")
-                    df = self._scan(label)
+                    view = q(view_name(namespace, label))
+                    out = SqlQuery(f"SELECT * FROM {view}", self._columns(label, namespace))
                 else:
                     if var != "r":
                         raise CypherEngineError("secondary variable must be 'r'")
@@ -120,66 +121,64 @@ class CypherEngine:
             elif line.upper().startswith("WHERE "):
                 pred = line[6:]
                 if pending_match is not None:
-                    df = self._join(self._need(df), pending_match, pred)
+                    out = self._join(self._need(out), pending_match, namespace, pred)
                     pending_match = None
                 else:
-                    df = self._need(df).filter(F.expr(_to_sql(pred)))
+                    out = self._need(out).keep(f" WHERE {_to_sql(pred)}")
             elif line.upper().startswith("WITH "):
-                df = self._with(self._need(df), line[5:].strip())
+                out = self._with(self._need(out), line[5:].strip())
             elif line.upper().startswith("RETURN "):
-                df = self._return(self._need(df), line[7:].strip())
+                out = self._return(self._need(out), line[7:].strip())
             else:
                 raise CypherEngineError(f"unsupported clause: {line!r}")
-            i += 1
-        return self._need(df)
+        return self._need(out).sql
 
-    def _need(self, df: DataFrame | None) -> DataFrame:
-        if df is None:
+    def _need(self, out: SqlQuery | None) -> SqlQuery:
+        if out is None:
             raise CypherEngineError("query must start with MATCH")
-        return df
+        return out
 
-    def _scan(self, label: str) -> DataFrame:
+    def _columns(self, label: str, ns: str) -> list[str]:
         try:
-            return self.registry[label]
+            return list(self.columns[view_name(ns, label)])
         except KeyError:
             raise CypherEngineError(f"unknown label {label!r}") from None
 
     # ------------------------------------------------------------------
-    def _join(self, df: DataFrame, label: str, pred: str) -> DataFrame:
-        """``MATCH (r: L) WHERE t.a = r.b`` — executed as an equi-join."""
+    def _join(self, left: SqlQuery, label: str, ns: str, pred: str) -> SqlQuery:
+        """``MATCH (r: L) WHERE t.a = r.b`` — compiled to an equi-join."""
         m = re.fullmatch(r"t\.(\w+)\s*=\s*r\.(\w+)", pred.strip())
         if m is None:
             raise CypherEngineError(f"join WHERE must be t.a = r.b, got {pred!r}")
-        left_on, right_on = m.group(1), m.group(2)
-        right = self._scan(label)
-        prefixed = right.select(
-            *[F.col(c).alias(f"__r_{c}") for c in right.columns]
-        )
-        return df.join(
-            prefixed, F.col(left_on) == F.col(f"__r_{right_on}"), "inner"
+        right = self._columns(label, ns)
+        renamed = ", ".join(f"{q(c)} AS {q('__r_' + c)}" for c in right)
+        return SqlQuery(
+            f"SELECT * FROM ({left.sql}) AS l INNER JOIN "
+            f"(SELECT {renamed} FROM {q(view_name(ns, label))}) AS r "
+            f"ON {q(m.group(1))} = {q('__r_' + m.group(2))}",
+            left.cols + ["__r_" + c for c in right],
         )
 
-    def _with(self, df: DataFrame, body: str) -> DataFrame:
+    def _with(self, query: SqlQuery, body: str) -> SqlQuery:
         distinct = False
         if body.upper().startswith("DISTINCT "):
             distinct, body = True, body[9:].strip()
-        out: DataFrame
         if m := re.fullmatch(r"t\s*\{(.*)\}", body, re.DOTALL):
-            out = self._map_projection(df, m.group(1))
+            out = self._map_projection(query, m.group(1))
         elif m := re.fullmatch(r"\{(.*)\}\s+AS\s+t", body, re.DOTALL | re.IGNORECASE):
-            out = self._aggregate(df, m.group(1))
+            out = self._aggregate(query, m.group(1))
         elif m := re.fullmatch(
             r"t\s+ORDER\s+BY\s+(.+?)(\s+DESC)?", body, re.IGNORECASE | re.DOTALL
         ):
-            col = F.expr(_to_sql(m.group(1)))
-            out = df.orderBy(col.desc() if m.group(2) else col.asc())
+            direction = "DESC" if m.group(2) else "ASC"
+            out = query.keep(f" ORDER BY {_to_sql(m.group(1))} {direction}")
         elif m := re.fullmatch(r"t\s+WHERE\s+(.+)", body, re.IGNORECASE | re.DOTALL):
-            out = df.filter(F.expr(_to_sql(m.group(1))))
+            out = query.keep(f" WHERE {_to_sql(m.group(1))}")
         elif body.strip() == "t":
-            out = df
+            out = query
         else:
             raise CypherEngineError(f"unsupported WITH body: {body!r}")
-        return out.distinct() if distinct else out
+        return SqlQuery(f"SELECT DISTINCT * FROM ({out.sql})", out.cols) if distinct else out
 
     def _item(self, item: str) -> tuple[str | None, str]:
         """Parse one projection item: ``'alias': expr`` / `` `alias`: expr``
@@ -192,26 +191,27 @@ class CypherEngine:
         alias = m.group(1) or m.group(2) or m.group(3)
         return alias, m.group(4).strip()
 
-    def _map_projection(self, df: DataFrame, items: str) -> DataFrame:
-        cols: list[Column] = []
+    def _map_projection(self, query: SqlQuery, items: str) -> SqlQuery:
+        sql, cols = [], []
+        r_cols = [c for c in query.cols if c.startswith("__r_")]
         for item in _split_top_level(items):
             alias, expr = self._item(item)
             if alias is None:  # .*
-                cols.extend(F.col(c) for c in df.columns if not c.startswith("__r_"))
-            elif expr == "r":
-                r_cols = [c for c in df.columns if c.startswith("__r_")]
+                own = [c for c in query.cols if not c.startswith("__r_")]
+                sql.extend(q(c) for c in own)
+                cols.extend(own)
+                continue
+            if expr == "r":
                 if not r_cols:
                     raise CypherEngineError("no 'r' binding in scope")
-                cols.append(
-                    F.struct(
-                        *[F.col(c).alias(c[len("__r_"):]) for c in r_cols]
-                    ).alias(alias)
-                )
+                fields = ", ".join(f"{q(c)} AS {q(c[len('__r_'):])}" for c in r_cols)
+                sql.append(f"struct({fields}) AS {q(alias)}")
             else:
-                cols.append(F.expr(_to_sql(expr)).alias(alias))
-        return df.select(*cols)
+                sql.append(f"{_to_sql(expr)} AS {q(alias)}")
+            cols.append(alias)
+        return query.select(sql, cols)
 
-    def _aggregate(self, df: DataFrame, items: str) -> DataFrame:
+    def _aggregate(self, query: SqlQuery, items: str) -> SqlQuery:
         """``WITH {..} AS t`` — implicit grouping by non-aggregate items."""
         keys: list[tuple[str, str]] = []
         aggs: list[tuple[str, str]] = []
@@ -221,22 +221,16 @@ class CypherEngine:
                 raise CypherEngineError(".* is not valid in an aggregating WITH")
             sql = _to_sql(expr)
             (aggs if _AGG_HEAD_RE.match(sql) else keys).append((alias, sql))
-        agg_cols = [F.expr(sql).alias(alias) for alias, sql in aggs]
-        if not agg_cols:
+        if not aggs:
             raise CypherEngineError("aggregating WITH needs an aggregate item")
-        if keys:
-            grouped = df.groupBy(
-                *[F.expr(sql).alias(alias) for alias, sql in keys]
-            )
-        else:
-            grouped = df.groupBy()
-        return grouped.agg(*agg_cols)
+        tail = " GROUP BY " + ", ".join(sql for _, sql in keys) if keys else ""
+        pairs = keys + aggs
+        return query.select([f"{sql} AS {q(a)}" for a, sql in pairs], [a for a, _ in pairs], tail)
 
-    def _return(self, df: DataFrame, body: str) -> DataFrame:
+    def _return(self, query: SqlQuery, body: str) -> SqlQuery:
         if body.strip() == "t":
-            return df.select(*[c for c in df.columns if not c.startswith("__r_")])
-        if m := re.fullmatch(
-            r"COUNT\s*\(\s*\*\s*\)\s+AS\s+(\w+)", body, re.IGNORECASE
-        ):
-            return df.agg(F.count(F.lit(1)).alias(m.group(1)))
+            cols = [c for c in query.cols if not c.startswith("__r_")]
+            return query.select([q(c) for c in cols], cols)
+        if m := re.fullmatch(r"COUNT\s*\(\s*\*\s*\)\s+AS\s+(\w+)", body, re.IGNORECASE):
+            return query.select([f"count(1) AS {q(m.group(1))}"], [m.group(1)])
         raise CypherEngineError(f"unsupported RETURN body: {body!r}")

@@ -15,12 +15,17 @@ translates that SQL++ subset into Spark SQL, preserving semantics:
 * ``x IS UNKNOWN`` / ``x IS KNOWN``        → ``IS NULL`` / ``IS NOT NULL``
 * ``to_bigint(e)`` / ``to_string(e)``      → ``CAST(e AS BIGINT/STRING)``
 
+None of these rewrites applies inside a string literal
+(:func:`repro.translate.outside_literals`).
+
 The transpiler is deliberately narrow: it accepts exactly the composable
 subset PolyFrame emits and raises on anything else it cannot place.
 """
 from __future__ import annotations
 
 import re
+
+from repro.translate import outside_literals, replace_call
 
 _BARE_VALUE_RE = re.compile(r"SELECT\s+VALUE\s+(\w+)\s+FROM", re.IGNORECASE)
 _JOIN_VARS_RE = re.compile(r"SELECT\s+(\w+)\s*,\s*(\w+)\s+FROM", re.IGNORECASE)
@@ -68,31 +73,13 @@ def _wrap_select_value(text: str, keyword: str) -> str:
     return "".join(out)
 
 
-def _replace_call(text: str, func: str, template: str) -> str:
-    """Replace ``func(<args>)`` (paren-matched) with ``template``, where
-    ``{0}`` in the template is the argument text."""
-    pat = re.compile(re.escape(func) + r"\s*\(", re.IGNORECASE)
-    while True:
-        m = pat.search(text)
-        if m is None:
-            return text
-        depth = 1
-        j = m.end()
-        while j < len(text) and depth:
-            if text[j] == "(":
-                depth += 1
-            elif text[j] == ")":
-                depth -= 1
-            j += 1
-        if depth:
-            raise ValueError(f"unbalanced call to {func} in {text!r}")
-        args = text[m.end() : j - 1]
-        text = text[: m.start()] + template.format(args) + text[j:]
-
-
 def transpile(query: str) -> str:
-    """Translate one generated SQL++ query into executable Spark SQL."""
-    text = query.strip().rstrip(";").strip()
+    """Translate one generated SQL++ query into executable Spark SQL.
+    String literals pass through unchanged."""
+    return outside_literals(query.strip().rstrip(";").strip(), _translate)
+
+
+def _translate(text: str) -> str:
     # datasets → flat temp-view names
     text = _DATASET_RE.sub(r"FROM \1_\2\3", text)
     # bare-variable VALUE selects: whole-record passthrough
@@ -108,6 +95,5 @@ def transpile(query: str) -> str:
     text = re.sub(r"IS\s+UNKNOWN", "IS NULL", text, flags=re.IGNORECASE)
     text = re.sub(r"IS\s+KNOWN", "IS NOT NULL", text, flags=re.IGNORECASE)
     # type conversions
-    text = _replace_call(text, "to_bigint", "CAST({0} AS BIGINT)")
-    text = _replace_call(text, "to_string", "CAST({0} AS STRING)")
-    return text
+    text = replace_call(text, "to_bigint", "CAST({0} AS BIGINT)")
+    return replace_call(text, "to_string", "CAST({0} AS STRING)")

@@ -1,0 +1,76 @@
+"""Text helpers shared by the query translators.
+
+The SQL++ transpiler (:mod:`repro.sqlpp.transpile`) and the Cypher compiler
+(:mod:`repro.cypher.engine`) rewrite query text with regular expressions.
+:func:`outside_literals` keeps those rewrites out of string literals, so a
+value such as ``'a IS UNKNOWN'`` or ``'t.name'`` reaches Spark unchanged.
+The Mongo and Cypher compilers build Spark SQL themselves, one
+:class:`SqlQuery` level per stage or clause, quoting with
+:func:`quote_ident` and :func:`sql_string`.
+"""
+from __future__ import annotations
+
+import re
+from typing import Callable
+
+#: A single- or double-quoted string literal with backslash escapes.
+_LITERAL_RE = re.compile(r"'(?:[^'\\]|\\.)*'|\"(?:[^\"\\]|\\.)*\"", re.DOTALL)
+_HIDDEN_RE = re.compile("\0(\\d+)\0")
+
+
+def outside_literals(text: str, rewrite: Callable[[str], str]) -> str:
+    """Apply ``rewrite`` to ``text`` with every string literal hidden.
+
+    Each literal is swapped for an opaque placeholder before ``rewrite``
+    runs and put back afterwards, so no pattern can match inside one.
+    """
+    literals: list[str] = []
+
+    def hide(m: re.Match) -> str:
+        literals.append(m.group(0))
+        return f"\0{len(literals) - 1}\0"
+
+    rewritten = rewrite(_LITERAL_RE.sub(hide, text))
+    return _HIDDEN_RE.sub(lambda m: literals[int(m.group(1))], rewritten)
+
+
+def replace_call(text: str, func: str, template: str) -> str:
+    """Replace each paren-matched ``func(<args>)`` (case-insensitive) with
+    ``template.format(<args>)``. Call it inside :func:`outside_literals`,
+    so parentheses in string literals do not count."""
+    pat = re.compile(re.escape(func) + r"\s*\(", re.IGNORECASE)
+    while m := pat.search(text):
+        depth, j = 1, m.end()
+        while j < len(text) and depth:
+            depth += {"(": 1, ")": -1}.get(text[j], 0)
+            j += 1
+        if depth:
+            raise ValueError(f"unbalanced call to {func} in {text!r}")
+        text = text[: m.start()] + template.format(text[m.end() : j - 1]) + text[j:]
+    return text
+
+
+def quote_ident(name: str) -> str:
+    """A Spark SQL identifier: ``name`` in backticks."""
+    return "`" + name.replace("`", "``") + "`"
+
+
+def sql_string(value: str) -> str:
+    """A Spark SQL string literal (backslash escapes)."""
+    return "'" + value.replace("\\", "\\\\").replace("'", "\\'") + "'"
+
+
+class SqlQuery:
+    """A Spark SQL query built one clause at a time: its text and its
+    output columns, which the compilers track themselves."""
+
+    def __init__(self, sql: str, cols: list[str]):
+        self.sql, self.cols = sql, cols
+
+    def select(self, items: list[str], cols: list[str], tail: str = "") -> "SqlQuery":
+        """``SELECT items FROM (this) tail``, with output columns ``cols``."""
+        return SqlQuery(f"SELECT {', '.join(items)} FROM ({self.sql}){tail}", cols)
+
+    def keep(self, tail: str) -> "SqlQuery":
+        """``SELECT * FROM (this) tail``: same columns (WHERE, ORDER BY, LIMIT)."""
+        return SqlQuery(f"SELECT * FROM ({self.sql}){tail}", self.cols)

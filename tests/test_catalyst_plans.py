@@ -15,8 +15,10 @@ from __future__ import annotations
 import pytest
 
 from repro.backends.spark import SparkConnector
+from repro.bench.expressions import EXPRESSIONS
 from repro.core import PolyFrame
 from repro.wisconsin.generator import wisconsin_pdf
+from tests.conftest import polyframes
 
 
 @pytest.fixture(scope="module")
@@ -89,3 +91,24 @@ def test_count_prunes_columns(parquet_conn):
     q = parquet_conn.rules.apply("q3", subquery=pf[pf["ten"] == 3].query)
     plan = optimized_plan(parquet_conn, q)
     assert "stringu1" not in plan.split("Relation")[0]  # not in Aggregate/Project
+
+
+def test_mongo_lookup_unwind_is_one_join(backends, monkeypatch):
+    """Expression 12 (Join & Count) on the mongo backend: ``$lookup`` +
+    ``$unwind`` run as one equi-join, not as a ``collect_list`` aggregate
+    joined and then exploded (a ``Generate``)."""
+    conn = backends["mongo"]
+    built = []
+    execute = conn.engine.execute
+
+    def record(*args):
+        built.append(execute(*args))
+        return built[-1]
+
+    monkeypatch.setattr(conn.engine, "execute", record)
+    join_count = next(e for e in EXPRESSIONS if e.id == 12)
+    join_count.poly_fn(*polyframes(conn))
+    plan = built[-1]._jdf.queryExecution().optimizedPlan().toString()
+    assert "Join Inner" in plan
+    assert "Generate" not in plan
+    assert "collect_list" not in plan

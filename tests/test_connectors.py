@@ -69,15 +69,22 @@ class TestContract:
         assert calls == ["init", "pre", ("send", True), "post"]
 
 
+def spark_backed(spark) -> list[DBConnector]:
+    """A fresh instance of each of the four Spark-backed connectors."""
+    from repro.backends.engines import CypherConnector, MongoConnector, SqlPPConnector
+    from repro.backends.spark import SparkConnector
+
+    kinds = (SparkConnector, SqlPPConnector, MongoConnector, CypherConnector)
+    return [kind(spark) for kind in kinds]
+
+
 class TestNamespaceIsolation:
     def test_same_collection_two_namespaces(self, spark, wdata):
-        from repro.backends.spark import SparkConnector
-
-        conn = SparkConnector(spark)
-        conn.register("A", "w", wdata.head(10))
-        conn.register("B", "w", wdata.head(20))
-        assert len(PolyFrame("A", "w", conn)) == 10
-        assert len(PolyFrame("B", "w", conn)) == 20
+        for conn in spark_backed(spark):
+            conn.register("A", "w", wdata.head(10))
+            conn.register("B", "w", wdata.head(20))
+            assert len(PolyFrame("A", "w", conn)) == 10, conn.language
+            assert len(PolyFrame("B", "w", conn)) == 20, conn.language
 
     def test_duckdb_schema_isolation(self, wdata):
         from repro.backends.duck import DuckDBConnector
@@ -90,12 +97,11 @@ class TestNamespaceIsolation:
 
     def test_reregistration_replaces(self, spark, wdata):
         from repro.backends.duck import DuckDBConnector
-        from repro.backends.spark import SparkConnector
 
-        for conn in (DuckDBConnector(), SparkConnector(spark)):
+        for conn in (DuckDBConnector(), *spark_backed(spark)):
             conn.register("A", "w", wdata.head(5))
             conn.register("A", "w", wdata.head(9))
-            assert len(PolyFrame("A", "w", conn)) == 9
+            assert len(PolyFrame("A", "w", conn)) == 9, conn.language
 
 
 class TestSparkInputs:
@@ -105,6 +111,12 @@ class TestSparkInputs:
         conn = SparkConnector(spark)
         conn.register("S", "w", spark.createDataFrame(wdata.head(25)))
         assert len(PolyFrame("S", "w", conn)) == 25
+
+    def test_view_created_in_spark(self, spark, wdata):
+        # a temp view made outside the connector is a dataset too
+        spark.createDataFrame(wdata.head(12)).createOrReplaceTempView("V_w")
+        for conn in spark_backed(spark):
+            assert len(PolyFrame("V", "w", conn)) == 12, conn.language
 
     def test_duckdb_accepts_spark_dataframe(self, spark, wdata):
         from repro.backends.duck import DuckDBConnector

@@ -8,6 +8,7 @@ from __future__ import annotations
 import pandas as pd
 import pytest
 
+from repro.backends.spark import DEFAULT_NAMESPACE as NS, SparkConnector
 from repro.cypher.engine import CypherEngine, CypherEngineError, _split_top_level, _to_sql
 
 
@@ -25,9 +26,10 @@ def data() -> pd.DataFrame:
 @pytest.fixture(scope="module")
 def engine(spark, data) -> CypherEngine:
     other = pd.DataFrame({"a": [1, 1, 2, 9], "v": [100, 200, 300, 400]})
-    return CypherEngine(
-        {"nodes": spark.createDataFrame(data), "other": spark.createDataFrame(other)}
-    )
+    conn = SparkConnector(spark)
+    conn.register(NS, "nodes", spark.createDataFrame(data))
+    conn.register(NS, "other", spark.createDataFrame(other))
+    return CypherEngine(spark, conn.columns)
 
 
 def run(engine, query: str) -> pd.DataFrame:

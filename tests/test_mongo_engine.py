@@ -9,6 +9,7 @@ from __future__ import annotations
 import pandas as pd
 import pytest
 
+from repro.backends.spark import DEFAULT_NAMESPACE as NS, SparkConnector
 from repro.mongo.engine import MongoEngine, MongoEngineError
 
 
@@ -26,9 +27,12 @@ def data() -> pd.DataFrame:
 @pytest.fixture(scope="module")
 def engine(spark, data) -> MongoEngine:
     other = pd.DataFrame({"a": [1, 1, 2, 9], "v": [100, 200, 300, 400]})
-    return MongoEngine(
-        {"c": spark.createDataFrame(data), "d": spark.createDataFrame(other)}
-    )
+    stored_id = pd.DataFrame({"_id": [7, 7, 8], "a": [1, 2, 3]})
+    conn = SparkConnector(spark)
+    conn.register(NS, "c", spark.createDataFrame(data))
+    conn.register(NS, "d", spark.createDataFrame(other))
+    conn.register(NS, "e", spark.createDataFrame(stored_id))
+    return MongoEngine(spark, conn.columns)
 
 
 def run(engine, pipeline, collection="c") -> pd.DataFrame:
@@ -48,6 +52,15 @@ class TestScanAndId:
     def test_unknown_collection(self, engine):
         with pytest.raises(MongoEngineError, match="unknown collection"):
             engine.execute([], "nope")
+
+    def test_stored_id_is_replaced(self, engine):
+        # a collection with its own _id column: each document keeps one _id
+        out = run(engine, [{"$match": {}}], "e")
+        assert list(out.columns) == ["a", "_id"]
+        assert out["_id"].is_unique
+        out = run(engine, [{"$sort": {"_id": -1}}, {"$project": {"a": 1}}], "e")
+        assert list(out.columns) == ["_id", "a"]
+        assert out["a"].tolist() == [3, 2, 1]
 
 
 class TestMatch:
@@ -256,12 +269,6 @@ class TestLookupUnwind:
         bad = [{"$lookup": {"from": "d", "as": "r", "let": {}, "pipeline": [{"$match": {}}]}}]
         with pytest.raises(MongoEngineError, match="correlated"):
             run(engine, bad)
-
-
-class TestOut:
-    def test_out_registers_collection(self, engine):
-        run(engine, [{"$match": {"$expr": {"$eq": ["$s", "x"]}}}, {"$out": "saved"}])
-        assert engine.execute([{"$count": "n"}], "saved").toPandas()["n"].iloc[0] == 2
 
 
 class TestErrors:

@@ -104,12 +104,15 @@ class TestComparisonsAndLogicals:
 
     def test_string_literal_escaping(self, backend):
         # quotes and backslashes must reach every backend in its own
-        # string syntax: 'it''s' on DuckDB, 'it\'s' on Spark SQL, ...
+        # string syntax: 'it''s' on DuckDB, 'it\'s' on Spark SQL, ...;
+        # and text translators must not rewrite inside a literal
         _, conn = backend
-        pdf = pd.DataFrame({"name": ["it's", "a\\b", 'q"d', "its", "ab", "qd"]})
+        values = ["it's", "a\\b", 'q"d', "t.name", "a IS UNKNOWN"]
+        decoys = ["its", "ab", "qd", "name", "a IS NULL"]
+        pdf = pd.DataFrame({"name": values + decoys})
         conn.register("Esc", "escapes", pdf)
         pf = PolyFrame("Esc", "escapes", conn)
-        for value in ["it's", "a\\b", 'q"d']:
+        for value in values:
             got = pf[pf["name"] == value].toPandas()
             assert got["name"].tolist() == pdf[pdf["name"] == value]["name"].tolist()
 
