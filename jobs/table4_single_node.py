@@ -13,6 +13,7 @@ from pathlib import Path
 from repro.bench.expressions import EXPRESSIONS
 from repro.bench.harness import (
     format_table,
+    local_spark,
     make_connector,
     register_dataset,
     run_pandas,
@@ -48,6 +49,4 @@ def main(spark, scale: float = 0.01) -> None:
 
 
 if __name__ == "__main__":
-    from _session import get_spark
-
-    main(get_spark(), float(sys.argv[1]) if len(sys.argv) > 1 else 0.01)
+    main(local_spark(), float(sys.argv[1]) if len(sys.argv) > 1 else 0.01)

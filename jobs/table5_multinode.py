@@ -12,6 +12,7 @@ import sys
 
 from repro.bench.expressions import EXPRESSIONS
 from repro.bench.harness import (
+    local_spark,
     make_connector,
     register_dataset,
     rows_to_frame,
@@ -76,6 +77,4 @@ def main(spark, scale: float = 0.2) -> None:
 
 
 if __name__ == "__main__":
-    from _session import get_spark
-
-    main(get_spark(), float(sys.argv[1]) if len(sys.argv) > 1 else 0.2)
+    main(local_spark(), float(sys.argv[1]) if len(sys.argv) > 1 else 0.2)

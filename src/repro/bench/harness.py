@@ -13,7 +13,9 @@ growing it proportionally (scaleup, Table V row 3).
 """
 from __future__ import annotations
 
+import os
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Iterable
@@ -33,6 +35,34 @@ BACKENDS = ("sparksql", "sql", "sqlpp", "mongo", "cypher")
 NAMESPACE = "Bench"
 COLLECTION = "wisconsin"
 COLLECTION2 = "wisconsin2"
+
+
+def local_spark() -> SparkSession:
+    """The Spark session of the tests and the jobs.
+
+    ``SPARK_MASTER`` (default ``local[*]``) and ``SPARK_DRIVER_MEM``
+    (default ``8g``) are read only when the JVM starts, so they go into
+    ``PYSPARK_SUBMIT_ARGS`` before the first session is built. 16 shuffle
+    partitions suit the scaled datasets on a few cores (``perfbench`` uses
+    the same). Broadcast joins are off, so joins take the shuffle path that
+    the paper's multi-node runs exercise.
+    """
+    os.environ.setdefault(
+        "PYSPARK_SUBMIT_ARGS",
+        f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "
+        f"--driver-memory {os.environ.get('SPARK_DRIVER_MEM', '8g')} "
+        "--conf spark.driver.host=127.0.0.1 "
+        "--conf spark.ui.enabled=false pyspark-shell",
+    )
+    spark = (
+        SparkSession.builder.appName("polyframe-repro")
+        .config("spark.sql.shuffle.partitions", "16")
+        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
+        .config("spark.sql.autoBroadcastJoinThreshold", -1)
+        .getOrCreate()
+    )
+    spark.sparkContext.setLogLevel("ERROR")
+    return spark
 
 
 def make_connector(kind: str, spark: SparkSession) -> DBConnector:
@@ -132,19 +162,15 @@ def warmup(connector: DBConnector) -> None:
     PolyFrame(NAMESPACE, COLLECTION, connector).head(1)
 
 
+@contextmanager
 def simulated_nodes(spark: SparkSession, nodes: int):
-    """Context manager: pin shuffle parallelism to the simulated node count."""
-
-    class _Ctx:
-        def __enter__(self):
-            self._saved = spark.conf.get("spark.sql.shuffle.partitions")
-            spark.conf.set("spark.sql.shuffle.partitions", str(nodes))
-            return self
-
-        def __exit__(self, *exc):
-            spark.conf.set("spark.sql.shuffle.partitions", self._saved)
-
-    return _Ctx()
+    """Pin shuffle parallelism to the simulated node count."""
+    saved = spark.conf.get("spark.sql.shuffle.partitions")
+    spark.conf.set("spark.sql.shuffle.partitions", str(nodes))
+    try:
+        yield
+    finally:
+        spark.conf.set("spark.sql.shuffle.partitions", saved)
 
 
 def rows_to_frame(rows: list[TimingRow]) -> pd.DataFrame:

@@ -6,9 +6,9 @@ configuration file* in exactly the format the paper prints in Appendices B
 (templates may continue over indented lines), and ``;`` comments. Templates
 contain *rewrite variables* written ``$name`` (italicized in the paper's
 Fig. 3); :meth:`RewriteRules.apply` substitutes caller-supplied values for
-them, longest variable name first, so e.g. ``$sort_desc_attr`` is never
-clobbered by a hypothetical ``$sort`` variable, and MongoDB's
-``"$min": "$$attribute"`` keeps its literal leading ``$`` while
+them in one pass, longest variable name first: ``$sort_desc_attr`` is never
+read as a ``$sort`` variable, substituted text is never re-scanned, and
+MongoDB's ``"$min": "$$attribute"`` keeps its literal leading ``$`` while
 ``$attribute`` is rewritten.
 
 Users may override or add rules at runtime (*User-Defined Rewrites*,
@@ -52,7 +52,9 @@ KNOWN_VARIABLES = frozenset(
     }
 )
 
-_VAR_RE = re.compile(r"\$([A-Za-z_][A-Za-z0-9_]*)")
+
+def _variable_re(names) -> re.Pattern:  # ``$name`` for any of ``names``, longest first
+    return re.compile(r"\$(" + "|".join(sorted(names, key=len, reverse=True)) + ")")
 
 
 class MissingRewriteVariable(KeyError):
@@ -66,20 +68,18 @@ class UnknownRewriteRule(KeyError):
 def substitute(template: str, **variables: object) -> str:
     """Rewrite ``$name`` occurrences in ``template`` with ``variables``.
 
-    Substitution is purely textual (the paper's model): longer variable
-    names are replaced first so overlapping names cannot interfere, and a
-    ``$`` immediately preceding a variable occurrence survives (MongoDB's
-    ``"$$attribute"`` becomes ``"$<value>"``).
+    Substitution is purely textual (the paper's model) and one pass, so
+    substituted values are never re-scanned; a ``$`` right before a variable
+    survives (MongoDB's ``"$$attribute"`` becomes ``"$<value>"``).
     """
-    out = template
-    for name in sorted(variables, key=len, reverse=True):
-        out = out.replace(f"${name}", str(variables[name]))
-    return out
+    if not variables:
+        return template
+    return _variable_re(variables).sub(lambda m: str(variables[m[1]]), template)
 
 
 def required_variables(template: str) -> frozenset[str]:
     """The subset of :data:`KNOWN_VARIABLES` referenced by ``template``."""
-    return frozenset(m.group(1) for m in _VAR_RE.finditer(template)) & KNOWN_VARIABLES
+    return frozenset(_variable_re(KNOWN_VARIABLES).findall(template))
 
 
 class RewriteRules:
@@ -192,6 +192,9 @@ class RewriteRules:
                 escaped = value.replace("\\", "\\\\").replace(quote, "\\" + quote)
             else:
                 raise ValueError(f"unknown string_escape {style!r} in [META]")
+            if value.startswith("$") and self.has("dollar_str_literal"):
+                # MongoDB reads a string that starts with `$` as a field path
+                return self.apply("dollar_str_literal", value=escaped)
             return self.apply("str_literal", value=escaped)
         raise TypeError(f"unsupported literal type: {type(value).__name__}")
 

@@ -193,6 +193,8 @@ class MongoEngine:
             return f"(NOT {self._expr(a, env)})"
         if op in _FUNCTIONS:
             return _FUNCTIONS[op].format(self._expr(arg, env))
+        if op == "$literal" and isinstance(arg, str):
+            return sql_string(arg)
         raise MongoEngineError(f"unsupported operator {op!r}")
 
     # ------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Table III registry + timing-harness tests.
 
-The registry is the single source of truth that tests, benchmarks and
-jobs share; its three forms (pandas / PolyFrame / oracle SQL) must agree
+The registry is the single source of truth that tests, jobs and
+``perfbench`` share; its three forms (pandas / PolyFrame / oracle SQL) must agree
 with each other and with the paper's Table III inventory.
 """
 from __future__ import annotations

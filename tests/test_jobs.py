@@ -2,11 +2,44 @@
 from __future__ import annotations
 
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
 
+from repro.bench.expressions import EXPRESSIONS
+
 JOBS = Path(__file__).resolve().parent.parent / "jobs"
+
+#: Spark job -> (section headers it prints, tables with one row per expression)
+SPARK_JOBS = {
+    "table3_expressions": (
+        [
+            "TABLE III / Fig. 5",
+            "== total runtime (creation + expression), Fig. 5a/5b ==",
+            "== expression-only runtime, Fig. 5c/5d ==",
+            "== DataFrame creation time (one per system) ==",
+        ],
+        2,
+    ),
+    "table4_single_node": (
+        [
+            "TABLE IV / Figs 6-8",
+            "== total runtime (creation + expression) ==",
+            "== expression-only runtime ==",
+        ],
+        2,
+    ),
+    "table5_multinode": (
+        [
+            "TABLE V / Fig. 9 — SPEEDUP",
+            "speedup over 1 node (ideal = node count):",
+            "TABLE V / Fig. 10 — SCALEUP",
+            "scaleup vs 1 node (ideal = 1.0):",
+        ],
+        4,
+    ),
+}
 
 
 def load_job(name: str):
@@ -31,9 +64,16 @@ def test_table2_validates_all_attributes(capsys):
     assert out.count(" OK") == 16
 
 
-@pytest.mark.parametrize(
-    "name", ["table3_expressions", "table4_single_node", "table5_multinode"]
-)
-def test_spark_jobs_importable(name):
+@pytest.mark.parametrize("name", list(SPARK_JOBS))
+def test_spark_jobs_importable(name, spark_jobs):
     module = load_job(name)
     assert callable(module.main)
+    proc, stem = spark_jobs[name]
+    assert proc.wait(timeout=600) == 0, stem.with_suffix(".err").read_text()[-3000:]
+    out = stem.with_suffix(".out").read_text()
+    headers, tables = SPARK_JOBS[name]
+    for header in headers:
+        assert header in out
+    for e in EXPRESSIONS:
+        rows = re.findall(rf"^{e.id}\s+{re.escape(e.name)}\s", out, re.MULTILINE)
+        assert len(rows) == tables, (e.id, e.name)

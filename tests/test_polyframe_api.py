@@ -105,9 +105,10 @@ class TestComparisonsAndLogicals:
     def test_string_literal_escaping(self, backend):
         # quotes and backslashes must reach every backend in its own
         # string syntax: 'it''s' on DuckDB, 'it\'s' on Spark SQL, ...;
-        # and text translators must not rewrite inside a literal
+        # and neither text translators nor rewrite variables may rewrite
+        # inside a literal
         _, conn = backend
-        values = ["it's", "a\\b", 'q"d', "t.name", "a IS UNKNOWN"]
+        values = ["it's", "a\\b", 'q"d', "t.name", "a IS UNKNOWN", "$subquery", "$num"]
         decoys = ["its", "ab", "qd", "name", "a IS NULL"]
         pdf = pd.DataFrame({"name": values + decoys})
         conn.register("Esc", "escapes", pdf)
@@ -115,6 +116,16 @@ class TestComparisonsAndLogicals:
         for value in values:
             got = pf[pf["name"] == value].toPandas()
             assert got["name"].tolist() == pdf[pdf["name"] == value]["name"].tolist()
+
+    def test_column_named_like_a_rewrite_variable(self, backend):
+        # Mongo's "$num" field path must survive the later `$num` of head()
+        _, conn = backend
+        pdf = pd.DataFrame({"num": [7, 1, 9, 4, 3, 8, 5, 2, 6, 0]})
+        conn.register("Var", "nums", pdf)
+        pf = PolyFrame("Var", "nums", conn)
+        got = pf[pf["num"] > 3].sort_values("num").head(5)
+        want = pdf[pdf["num"] > 3].sort_values("num").head(5)
+        assert got["num"].tolist() == want["num"].tolist()
 
 
 class TestColumnActions:

@@ -99,6 +99,11 @@ class TestSubstitute:
         req = required_variables("SELECT $agg_func FROM ($subquery) t")
         assert req == {"agg_func", "subquery"}
 
+    def test_required_variables_adjacent(self):
+        # sparksql q1: `$namespace_$collection`, two variables in one name
+        q1 = load_language("sparksql").get("q1")
+        assert required_variables(q1) == {"namespace", "collection"}
+
     def test_required_variables_ignores_non_variables(self):
         assert required_variables('{ "$match": {} }') == set()
 
