@@ -24,7 +24,7 @@ from pyspark.sql import SparkSession
 from repro.backends.spark import SparkConnector
 from repro.core.rewrite import RewriteRules
 from repro.cypher.engine import CypherEngine
-from repro.mongo.engine import MongoEngine
+from repro.mongo.engine import MongoEngine, MongoEngineError
 from repro.sqlpp.transpile import transpile
 
 
@@ -53,7 +53,10 @@ class MongoConnector(SparkConnector):
         return f"[ {query} ]"
 
     def send_query(self, query: str, namespace: str, collection: str) -> pd.DataFrame:
-        pipeline = json.loads(query)
+        try:
+            pipeline = json.loads(query)
+        except json.JSONDecodeError as exc:
+            raise MongoEngineError(f"the pipeline is not valid JSON: {exc}") from exc
         return self.engine.execute(pipeline, collection, namespace).toPandas()
 
 

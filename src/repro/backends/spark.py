@@ -106,9 +106,3 @@ class SparkConnector(DBConnector):
 
     def get_columns(self, namespace: str, collection: str) -> list[tuple[str, str]]:
         return self.spark.table(view_name(namespace, collection)).dtypes
-
-    # -- reproduction helper (not part of the paper's contract) ----------
-    def spark_plan(self, query: str) -> SparkDataFrame:
-        """The un-collected Spark DataFrame for a generated query — used by
-        plan-inspection tests and by the oracle wrapper."""
-        return self.spark.sql(query)

@@ -14,11 +14,13 @@ either a
   rule) and ships it through the connector (``head``, ``toPandas``,
   ``len(pf)``, scalar aggregates, ``describe``).
 
-Column expressions mirror Table I of the paper: ``pf['lang'] == 'en'``
-produces a boolean *column* whose own query is built on the projection's
-query (Table I row 3), but which also remembers the originating frame's
-query and the raw predicate so that ``pf[pf['lang'] == 'en']`` composes a
-filter over the *base* frame (Table I footnote 1).
+Column expressions mirror Table I of the paper. Every column operation is
+one derivation step (:meth:`PolyFrameColumn._derive`) with one rule. The
+new column's ``expr`` composes over the *base* frame, so ``pf[pf['lang']
+== 'en']`` filters that frame (Table I footnote 1), also after ``map`` or
+arithmetic. Its own query wraps the column's query and reads it by name
+(Table I row 3), unless the op reads a second column or is ``&``, ``|``
+or ``~``: then it composes over the frame, where every operand is in scope.
 """
 from __future__ import annotations
 
@@ -49,6 +51,12 @@ _MAP_RULES: dict[object, str] = {
     "abs": "abs",
 }
 
+#: rules that combine predicate bodies, so compose over the frame
+_BOOLEAN_RULES = frozenset({"and", "or", "not"})
+
+#: ``other`` of a unary derivation (``None`` is the NULL literal)
+_UNARY = object()
+
 _NUMERIC_DTYPE_MARKERS = ("int", "long", "float", "double", "decimal", "real")
 
 
@@ -61,6 +69,11 @@ def _native(value: object) -> object:
     """Convert numpy scalars to python natives for literal formatting."""
     item = getattr(value, "item", None)
     return item() if callable(item) else value
+
+
+def _operator(rule: str) -> Callable:
+    """A column operator method: one derivation by rewrite rule ``rule``."""
+    return lambda self, other: self._derive(rule, other)
 
 
 class PolyFrame:
@@ -257,10 +270,10 @@ class PolyFrameColumn(PolyFrame):
     """A single (possibly computed) column of a PolyFrame.
 
     Carries three pieces of state beyond the frame: ``expr`` — the
-    language-specific fragment denoting this column inside a larger
-    statement; ``name`` — its output alias; and ``base_query`` — the query
-    of the frame it was derived from, used when the column is a predicate
-    applied back to that frame.
+    language-specific fragment denoting this column inside a statement over
+    ``base_query``; ``name`` — its output alias; and ``base_query`` — the
+    query of the frame it was derived from, which every column derived
+    from it keeps. ``query`` is the column's own value query.
     """
 
     def __init__(self, *args, expr: str, name: str, base_query: str, **kwargs):
@@ -269,112 +282,86 @@ class PolyFrameColumn(PolyFrame):
         self.name = name
         self.base_query = base_query
 
-    # -- expression building -------------------------------------------
-    def _operand(self, other: object) -> str:
-        """Render the right-hand operand of a binary op."""
+    # -- the derivation step -------------------------------------------
+    def _derive(
+        self, rule: str, other: object = _UNARY, name: str = "val"
+    ) -> "PolyFrameColumn":
+        """Derive a column by applying rewrite rule ``rule`` to this column
+        and, for a binary rule, to ``other`` (a column or a literal); the
+        result is named ``name``. Applies the module's one rule: ``expr``
+        over the frame; the value query over this column's own query, by
+        name, unless ``other`` is a column or ``rule`` is boolean.
+
+        Raises ``ValueError`` if ``other`` is a column of another frame.
+        """
+        boolean = rule in _BOOLEAN_RULES
+        variables = {"attribute": self.name}
         if isinstance(other, PolyFrameColumn):
-            if self.rules.has("col_ref"):
-                # languages (MongoDB) whose operator templates take bare
-                # field names on the left need an explicit reference form
-                # for a column on the right.
-                return self.rules.apply("col_ref", attribute=other.name)
-            return other.expr
-        return self.rules.literal(_native(other))
+            # a Mongo query names no dataset, so compare the dataset too
+            if (other.namespace, other.collection, other.base_query) != (
+                self.namespace, self.collection, self.base_query
+            ):
+                raise ValueError(
+                    f"cannot combine columns {self.name!r} and {other.name!r} "
+                    "of different frames"
+                )
+            if boolean or not self.rules.has("col_ref"):
+                variables["right"] = other.expr
+            else:
+                # MongoDB's operator templates take field names, so a
+                # column on the right needs an explicit reference form
+                variables["right"] = self.rules.apply("col_ref", attribute=other.name)
+        elif other is not _UNARY:
+            variables["right"] = self.rules.literal(_native(other))
 
-    def _binary(self, rule: str, other: object) -> "PolyFrameColumn":
-        expr = self.rules.apply(rule, left=self.expr, right=self._operand(other))
-        # Table I row 3: a value column composes over the *projection's*
-        # query (2); only a column-column op needs the base frame, where
-        # both operand attributes are in scope.
-        subquery = (
-            self.base_query if isinstance(other, PolyFrameColumn) else self.query
-        )
-        query = self.rules.apply("q7", subquery=subquery, statement=expr, alias="val")
-        return self._column(query, expr=expr, name="val", base_query=self.base_query)
+        def form(operand: str) -> str:
+            return self.rules.apply(rule, left=operand, statement=operand, **variables)
 
-    def _combine(self, rule: str, other: "PolyFrameColumn") -> "PolyFrameColumn":
-        expr = self.rules.apply(rule, left=self.expr, right=other.expr)
-        query = self.rules.apply(
-            "q7", subquery=self.base_query, statement=expr, alias="val"
-        )
-        return self._column(query, expr=expr, name="val", base_query=self.base_query)
+        expr = form(self.expr)
+        if boolean or isinstance(other, PolyFrameColumn):
+            subquery, statement = self.base_query, expr
+        else:
+            ref = self.rules.apply("single_attribute", attribute=self.name)
+            subquery, statement = self.query, form(ref)
+        query = self.rules.apply("q7", subquery=subquery, statement=statement, alias=name)
+        return self._column(query, expr=expr, name=name, base_query=self.base_query)
 
-    # comparisons — each returns a boolean column (Table I row 3)
-    def __eq__(self, other):  # type: ignore[override]
-        return self._binary("eq", other)
-
-    def __ne__(self, other):  # type: ignore[override]
-        return self._binary("ne", other)
-
-    def __gt__(self, other):
-        return self._binary("gt", other)
-
-    def __lt__(self, other):
-        return self._binary("lt", other)
-
-    def __ge__(self, other):
-        return self._binary("ge", other)
-
-    def __le__(self, other):
-        return self._binary("le", other)
-
+    # comparisons return boolean columns (Table I row 3)
+    __eq__ = _operator("eq")  # type: ignore[assignment]
+    __ne__ = _operator("ne")  # type: ignore[assignment]
+    __gt__ = _operator("gt")
+    __lt__ = _operator("lt")
+    __ge__ = _operator("ge")
+    __le__ = _operator("le")
     __hash__ = None  # boolean columns are not hashable, like pandas Series
 
-    # logicals
-    def __and__(self, other):
-        return self._combine("and", other)
-
-    def __or__(self, other):
-        return self._combine("or", other)
+    # logicals and arithmetic
+    __and__ = _operator("and")
+    __or__ = _operator("or")
+    __add__ = _operator("add")
+    __sub__ = _operator("sub")
+    __mul__ = _operator("mul")
+    __truediv__ = _operator("div")
+    __mod__ = _operator("mod")
 
     def __invert__(self):
-        expr = self.rules.apply("not", left=self.expr)
-        query = self.rules.apply(
-            "q7", subquery=self.base_query, statement=expr, alias="val"
-        )
-        return self._column(query, expr=expr, name="val", base_query=self.base_query)
-
-    # arithmetic
-    def __add__(self, other):
-        return self._binary("add", other)
-
-    def __sub__(self, other):
-        return self._binary("sub", other)
-
-    def __mul__(self, other):
-        return self._binary("mul", other)
-
-    def __truediv__(self, other):
-        return self._binary("div", other)
-
-    def __mod__(self, other):
-        return self._binary("mod", other)
+        return self._derive("not")
 
     # missing-data predicates (paper's added benchmark expression 13)
     def isna(self) -> "PolyFrameColumn":
-        expr = self.rules.apply("is_missing", left=self.expr)
-        query = self.rules.apply("q7", subquery=self.query, statement=expr, alias="val")
-        return self._column(query, expr=expr, name="val", base_query=self.base_query)
+        return self._derive("is_missing")
 
     def notna(self) -> "PolyFrameColumn":
-        expr = self.rules.apply("not_missing", left=self.expr)
-        query = self.rules.apply("q7", subquery=self.query, statement=expr, alias="val")
-        return self._column(query, expr=expr, name="val", base_query=self.base_query)
+        return self._derive("not_missing")
 
     # scalar functions
     def map(self, func: Callable | str) -> "PolyFrameColumn":
-        """Apply a supported scalar function (e.g. ``str.upper``) — rewritten
-        through the language's FUNCTIONS rules, composed over this column's
-        own projection query (paper's benchmark expression 5)."""
+        """Apply a supported scalar function (e.g. ``str.upper``) through
+        the language's FUNCTIONS rules (paper's benchmark expression 5)."""
         rule = _MAP_RULES.get(func)
         if rule is None:
             raise ValueError(f"unsupported map function: {func!r}")
-        expr = self.rules.apply(rule, statement=self.expr, attribute=self.name)
-        query = self.rules.apply(
-            "q7", subquery=self.query, statement=expr, alias=self.name
-        )
-        ref = self.rules.apply("single_attribute", attribute=self.name)
-        return self._column(query, expr=ref, name=self.name, base_query=query)
+        return self._derive(rule, name=self.name)
 
     def astype(self, target: type | str) -> "PolyFrameColumn":
         rule = {int: "to_int", str: "to_str", "int": "to_int", "str": "to_str"}.get(
@@ -382,12 +369,7 @@ class PolyFrameColumn(PolyFrame):
         )
         if rule is None:
             raise ValueError(f"unsupported astype target: {target!r}")
-        expr = self.rules.apply(rule, statement=self.expr)
-        query = self.rules.apply(
-            "q7", subquery=self.query, statement=expr, alias=self.name
-        )
-        ref = self.rules.apply("single_attribute", attribute=self.name)
-        return self._column(query, expr=ref, name=self.name, base_query=query)
+        return self._derive(rule, name=self.name)
 
     # -- aggregate actions ----------------------------------------------
     def agg(self, func: str):
@@ -417,11 +399,13 @@ class PolyFrameColumn(PolyFrame):
         """One-hot encode this column — a *generic rule* (paper §III-C-2):
         an action fetches the distinct values (q11), then the projection is
         composed from comparison + type-conversion + alias rewrite rules.
-        Returns a lazy PolyFrame (the projection itself is a transformation).
+        Both wrap this column's own query and read it by name, like any op
+        on this column alone. Returns a lazy PolyFrame (the projection
+        itself is a transformation).
         """
         distinct_q = self.rules.apply(
             "q11",
-            subquery=self.base_query,
+            subquery=self.query,
             attribute=self.name,
             **self._group_extras([self.name]),
         )
@@ -430,18 +414,17 @@ class PolyFrameColumn(PolyFrame):
             {_native(v) for v in values.iloc[:, 0].dropna().tolist()},
             key=lambda v: (str(type(v)), v),
         )
+        ref = self.rules.apply("single_attribute", attribute=self.name)
         items = []
         for v in distinct:
-            cmp_expr = self.rules.apply(
-                "eq", left=self.expr, right=self.rules.literal(v)
-            )
+            cmp_expr = self.rules.apply("eq", left=ref, right=self.rules.literal(v))
             int_expr = self.rules.apply("to_int", statement=cmp_expr)
             alias = f"{self.name}_{v}"
             items.append(
                 self.rules.apply("attribute_alias", alias=alias, attribute=int_expr)
             )
         query = self.rules.apply(
-            "q2", subquery=self.base_query, attribute_alias=self.rules.join_items(items)
+            "q2", subquery=self.query, attribute_alias=self.rules.join_items(items)
         )
         return self._frame(query)
 

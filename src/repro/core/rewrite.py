@@ -137,10 +137,6 @@ class RewriteRules:
     def meta(self, key: str, default: str | None = None) -> str | None:
         return self._meta.get(key, default)
 
-    def variables_of(self, key: str) -> frozenset[str]:
-        """Which rewrite variables rule ``key`` requires."""
-        return required_variables(self.get(key))
-
     # -- mutation (User-Defined Rewrites) -------------------------------
     def set(self, key: str, template: str) -> None:
         """Add or override a rule at runtime (user-defined rewrite)."""

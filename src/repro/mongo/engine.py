@@ -40,7 +40,8 @@ from typing import Any
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.backends.spark import DEFAULT_NAMESPACE, view_name
-from repro.translate import SqlQuery, quote_ident as q, sql_string
+from repro.core.rewrite import load_language
+from repro.translate import SqlQuery, quote_ident as q
 
 _CMP_OPS = {"$eq": "=", "$ne": "<>", "$gt": ">", "$lt": "<", "$gte": ">=", "$lte": "<="}
 _ARITH_OPS = {"$add": "+", "$subtract": "-", "$multiply": "*", "$divide": "/", "$mod": "%"}
@@ -111,6 +112,8 @@ class MongoEngine:
         # Bound once: the engine's DataFrame is the action's only one, and a
         # wrapper later put on the session must not see its query again.
         self.sql = spark.sql
+        #: Spark SQL's string literal syntax, declared in ``sparksql.ini``
+        self.spark_sql = load_language("sparksql")
 
     # ------------------------------------------------------------------
     def execute(
@@ -159,7 +162,7 @@ class MongoEngine:
                 return env[e[2:]]
             if e.startswith("$"):
                 return ".".join(q(part) for part in e[1:].split("."))
-            return sql_string(e)
+            return self.spark_sql.literal(e)
         if isinstance(e, dict):
             if len(e) != 1:
                 raise MongoEngineError(f"expected single-operator expression: {e!r}")
@@ -194,7 +197,7 @@ class MongoEngine:
         if op in _FUNCTIONS:
             return _FUNCTIONS[op].format(self._expr(arg, env))
         if op == "$literal" and isinstance(arg, str):
-            return sql_string(arg)
+            return self.spark_sql.literal(arg)
         raise MongoEngineError(f"unsupported operator {op!r}")
 
     # ------------------------------------------------------------------

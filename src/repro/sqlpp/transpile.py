@@ -30,20 +30,16 @@ from repro.translate import outside_literals, replace_call
 _BARE_VALUE_RE = re.compile(r"SELECT\s+VALUE\s+(\w+)\s+FROM", re.IGNORECASE)
 _JOIN_VARS_RE = re.compile(r"SELECT\s+(\w+)\s*,\s*(\w+)\s+FROM", re.IGNORECASE)
 _DATASET_RE = re.compile(r"FROM\s+(\w+)\.(\w+)(\s+\w+)", re.IGNORECASE)
+_SELECT_VALUE_RE = re.compile(r"SELECT\s+(DISTINCT\s+)?VALUE\s+", re.IGNORECASE)
 
 
-def _wrap_select_value(text: str, keyword: str) -> str:
+def _wrap_select_value(text: str) -> str:
     """Rewrite every ``SELECT [DISTINCT] VALUE <expr> FROM`` whose expr is
     not a bare variable into ``SELECT [DISTINCT] (<expr>) AS val FROM``,
     scanning parenthesis-aware for the matching top-level FROM."""
     out = []
     i = 0
-    kw_re = re.compile(re.escape(keyword), re.IGNORECASE)
-    while True:
-        m = kw_re.search(text, i)
-        if m is None:
-            out.append(text[i:])
-            break
+    while m := _SELECT_VALUE_RE.search(text, i):
         out.append(text[i : m.start()])
         # find the FROM at depth 0 after the expression
         j = m.end()
@@ -57,7 +53,7 @@ def _wrap_select_value(text: str, keyword: str) -> str:
                 if depth == 0:
                     break  # we are inside an enclosing subquery with no FROM
                 depth -= 1
-            elif depth == 0 and text[j : j + 5].upper() == "FROM " :
+            elif depth == 0 and text[j : j + 5].upper() == "FROM ":
                 # require word boundary before FROM
                 if j == 0 or not text[j - 1].isalnum():
                     from_at = j
@@ -66,10 +62,10 @@ def _wrap_select_value(text: str, keyword: str) -> str:
         if from_at is None:
             raise ValueError(f"SELECT VALUE without matching FROM in: {text!r}")
         expr = text[m.end() : from_at].strip()
-        distinct = "DISTINCT " if "DISTINCT" in keyword.upper() else ""
+        distinct = "DISTINCT " if m[1] else ""
         out.append(f"SELECT {distinct}({expr}) AS val FROM")
         i = from_at + 4
-        out.append("")  # keep alignment; FROM already emitted
+    out.append(text[i:])
     return "".join(out)
 
 
@@ -89,8 +85,7 @@ def _translate(text: str) -> str:
         r"SELECT struct(\1.*) AS \1, struct(\2.*) AS \2 FROM", text
     )
     # remaining VALUE selects carry expressions
-    text = _wrap_select_value(text, "SELECT DISTINCT VALUE")
-    text = _wrap_select_value(text, "SELECT VALUE")
+    text = _wrap_select_value(text)
     # missing-ness predicates
     text = re.sub(r"IS\s+UNKNOWN", "IS NULL", text, flags=re.IGNORECASE)
     text = re.sub(r"IS\s+KNOWN", "IS NOT NULL", text, flags=re.IGNORECASE)

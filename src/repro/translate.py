@@ -5,8 +5,8 @@ The SQL++ transpiler (:mod:`repro.sqlpp.transpile`) and the Cypher compiler
 :func:`outside_literals` keeps those rewrites out of string literals, so a
 value such as ``'a IS UNKNOWN'`` or ``'t.name'`` reaches Spark unchanged.
 The Mongo and Cypher compilers build Spark SQL themselves, one
-:class:`SqlQuery` level per stage or clause, quoting with
-:func:`quote_ident` and :func:`sql_string`.
+:class:`SqlQuery` level per stage or clause, quoting identifiers with
+:func:`quote_ident`.
 """
 from __future__ import annotations
 
@@ -53,11 +53,6 @@ def replace_call(text: str, func: str, template: str) -> str:
 def quote_ident(name: str) -> str:
     """A Spark SQL identifier: ``name`` in backticks."""
     return "`" + name.replace("`", "``") + "`"
-
-
-def sql_string(value: str) -> str:
-    """A Spark SQL string literal (backslash escapes)."""
-    return "'" + value.replace("\\", "\\\\").replace("'", "\\'") + "'"
 
 
 class SqlQuery:

@@ -5,7 +5,8 @@ verbatim; deviations from the printed appendix are the systematic ones
 documented in tests/test_table1_formation.py (aggregate aliases like
 ``max_unique1``, parenthesized conjunctions, fully-nested q1 even where
 the paper abbreviates, join via subqueries rather than bare dataset
-names). The other languages are checked structurally — their exact
+names). The Spark SQL text, which the benchmark times, is pinned exactly
+too. The other languages are checked structurally — their exact
 result *semantics* are covered by tests/test_expressions_correctness.py
 on live engines.
 """
@@ -60,6 +61,44 @@ EXPECTED_SQLPP = {
 @pytest.mark.parametrize("expr_id", sorted(EXPECTED_SQLPP))
 def test_appendix_e_sqlpp(expr_id):
     assert generated("sqlpp", expr_id) == EXPECTED_SQLPP[expr_id]
+
+
+# ---------------------------------------------------------------------------
+# Spark SQL (this reproduction's target): the exact text the benchmark
+# times, so a formation change that alters it fails here first
+# ---------------------------------------------------------------------------
+SPARK_BASE = "SELECT * FROM Bench_wisconsin t"
+SPARK_BASE2 = "SELECT * FROM Bench_wisconsin2 t"
+
+EXPECTED_SPARKSQL = {
+    1: f"SELECT COUNT(*) AS cnt FROM ({SPARK_BASE}) t",
+    2: f"SELECT t.two, t.four FROM ({SPARK_BASE}) t\nLIMIT 5",
+    3: f"SELECT COUNT(*) AS cnt FROM (SELECT t.* FROM ({SPARK_BASE}) t "
+    "WHERE ((t.ten = 7 AND t.twentyPercent = 2) AND t.two = 1)) t",
+    4: "SELECT t.oddOnePercent, COUNT(t.oddOnePercent) AS `count_oddOnePercent` "
+    f"FROM ({SPARK_BASE}) t GROUP BY t.oddOnePercent",
+    5: "SELECT UPPER(t.stringu1) AS `stringu1` "
+    f"FROM (SELECT t.stringu1 FROM ({SPARK_BASE}) t) t\nLIMIT 5",
+    6: "SELECT MAX(t.unique1) AS `max_unique1` "
+    f"FROM (SELECT t.unique1 FROM ({SPARK_BASE}) t) t",
+    7: "SELECT MIN(t.unique1) AS `min_unique1` "
+    f"FROM (SELECT t.unique1 FROM ({SPARK_BASE}) t) t",
+    8: "SELECT t.twenty, MAX(t.four) AS `max_four` "
+    f"FROM ({SPARK_BASE}) t GROUP BY t.twenty",
+    9: f"SELECT * FROM ({SPARK_BASE}) t ORDER BY t.unique1 DESC\nLIMIT 5",
+    10: f"SELECT t.* FROM ({SPARK_BASE}) t WHERE t.ten = 7\nLIMIT 5",
+    11: f"SELECT COUNT(*) AS cnt FROM (SELECT t.* FROM ({SPARK_BASE}) t "
+    "WHERE (t.onePercent >= 10 AND t.onePercent <= 30)) t",
+    12: f"SELECT COUNT(*) AS cnt FROM (SELECT l.*, r.* FROM ({SPARK_BASE}) l "
+    f"INNER JOIN ({SPARK_BASE2}) r ON l.unique1 = r.unique1) t",
+    13: f"SELECT COUNT(*) AS cnt FROM (SELECT t.* FROM ({SPARK_BASE}) t "
+    "WHERE t.tenPercent IS NULL) t",
+}
+
+
+@pytest.mark.parametrize("expr_id", sorted(EXPECTED_SPARKSQL))
+def test_sparksql_text(expr_id):
+    assert generated("sparksql", expr_id) == EXPECTED_SPARKSQL[expr_id]
 
 
 # ---------------------------------------------------------------------------

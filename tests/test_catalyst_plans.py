@@ -34,7 +34,7 @@ def parquet_conn(spark, tmp_path_factory):
 
 
 def optimized_plan(conn: SparkConnector, query: str) -> str:
-    return conn.spark_plan(query)._jdf.queryExecution().optimizedPlan().toString()
+    return conn.spark.sql(query)._jdf.queryExecution().optimizedPlan().toString()
 
 
 def test_nested_projections_collapse_to_single_project(parquet_conn):

@@ -5,12 +5,17 @@ formation behaviour uses the RecordingConnector.
 """
 from __future__ import annotations
 
+import operator
+
 import pandas as pd
 import pytest
 
+from repro.bench.harness import BACKENDS
 from repro.bench.recording import RecordingConnector
 from repro.core import DatasetNotRegistered, PolyFrame
+from repro.core.aframe import PolyFrameColumn
 from repro.core.rewrite import load_language
+from repro.mongo.engine import MongoEngineError
 from tests.conftest import polyframes
 
 
@@ -126,6 +131,100 @@ class TestComparisonsAndLogicals:
         got = pf[pf["num"] > 3].sort_values("num").head(5)
         want = pdf[pdf["num"] > 3].sort_values("num").head(5)
         assert got["num"].tolist() == want["num"].tolist()
+
+
+#: ``string4`` cycles AAAA, HHHH, OOOO, VVVV padded with ``x``; lower case
+#: matches no stored value, only a mapped one
+HHHH = "hhhh" + "x" * 48
+
+#: chain name -> one function applied to a PolyFrame and to a pandas frame
+CHAINS = {
+    # failed or were silently wrong on every backend before one derivation step
+    "arith-arith": lambda f: (f["ten"] + 1) * 2,
+    "column-arith": lambda f: (f["ten"] + f["four"]) * 2,
+    "arith-isna": lambda f: (f["ten"] + 1).isna(),
+    "compare-astype": lambda f: (f["ten"] > 5).astype(int),
+    "mod-map": lambda f: (f["ten"] % 3).map(abs),
+    "filter-on-map": lambda f: len(f[f["string4"].map(str.lower) == HHHH]),
+    # (ten + 1) * 2 > 10 keeps ten > 4; ten + 1 * 2 > 10 would keep ten > 8
+    "filter-precedence": lambda f: len(f[(f["ten"] + 1) * 2 > 10]),
+    # regression guards: chains that already worked
+    "map-arith": lambda f: f["ten"].map(abs) + 1,
+    "invert-values": lambda f: ~(f["ten"] == 3),
+    "map-map": lambda f: f["string4"].map(str.upper).map(str.lower),
+    "map-max": lambda f: f["unique1"].map(abs).max(),
+    "filter-arith": lambda f: len(f[(f["ten"] + 1) > 5]),
+    "filter-invert-and": lambda f: len(f[~(f["ten"] == 3) & (f["four"] > 1)]),
+}
+
+#: a computed expression in a Mongo filter, and Mongo ``astype``, form stage
+#: text that is not JSON (DESIGN.md §3)
+MONGO_RAISES = {"compare-astype", "filter-on-map", "filter-precedence", "filter-arith"}
+
+#: after a ``map``, SQL++ ``SELECT VALUE`` drops the column name, so a
+#: further step fails (DESIGN.md §3)
+SQLPP_LEFT_OUT = {"map-arith", "map-map", "map-max"}
+
+
+def _values(result):
+    """A chain's result in comparable form: a column's sorted values."""
+    if isinstance(result, PolyFrameColumn):
+        result = result.toPandas().iloc[:, 0]
+    if isinstance(result, pd.Series):
+        return sorted(result.tolist())
+    return result
+
+
+class TestChainedColumns:
+    """A chain of column expressions means what the same pandas chain
+    means, on every backend (DESIGN.md §3)."""
+
+    @pytest.mark.parametrize(
+        "backend,chain",
+        [
+            (b, c)
+            for c in CHAINS
+            for b in BACKENDS
+            if not (b == "mongo" and c in MONGO_RAISES)
+            and not (b == "sqlpp" and c in SQLPP_LEFT_OUT)
+        ],
+        indirect=["backend"],
+    )
+    def test_chain_matches_pandas(self, backend, wdata, chain):
+        _, conn = backend
+        pf, _ = polyframes(conn)
+        assert _values(CHAINS[chain](pf)) == _values(CHAINS[chain](wdata))
+
+    @pytest.mark.parametrize("chain", sorted(MONGO_RAISES))
+    def test_mongo_raises_typed_error(self, backends, chain):
+        pf, _ = polyframes(backends["mongo"])
+        with pytest.raises(MongoEngineError, match="not valid JSON"):
+            _values(CHAINS[chain](pf))
+
+    @pytest.mark.parametrize(
+        "backend", [b for b in BACKENDS if b != "sqlpp"], indirect=True
+    )
+    def test_get_dummies_of_mapped_column(self, backend, wdata):
+        _, conn = backend
+        pf, _ = polyframes(conn)
+        got = pf["string4"].map(str.lower).get_dummies().toPandas()
+        want = pd.get_dummies(wdata["string4"].map(str.lower)).astype(int)
+        assert {c: int(got[c].sum()) for c in got} == {
+            f"string4_{v}": int(want[v].sum()) for v in want
+        }
+
+    @pytest.mark.parametrize("language", BACKENDS)
+    @pytest.mark.parametrize(
+        "op",
+        [operator.add, operator.eq, operator.gt, operator.and_, operator.or_],
+    )
+    def test_columns_of_different_frames_raise(self, language, op):
+        # pandas would align the two frames by index; a query can only read
+        # both operands from one frame
+        conn = RecordingConnector(language)
+        pf, pf2 = PolyFrame("T", "a", conn), PolyFrame("T", "b", conn)
+        with pytest.raises(ValueError, match="different frames"):
+            op(pf["x"], pf2["x"])
 
 
 class TestColumnActions:
