@@ -19,8 +19,10 @@ one derivation step (:meth:`PolyFrameColumn._derive`) with one rule. The
 new column's ``expr`` composes over the *base* frame, so ``pf[pf['lang']
 == 'en']`` filters that frame (Table I footnote 1), also after ``map`` or
 arithmetic. Its own query wraps the column's query and reads it by name
-(Table I row 3), unless the op reads a second column or is ``&``, ``|``
-or ``~``: then it composes over the frame, where every operand is in scope.
+(Table I row 3), unless the op reads a second column: then it composes
+over the frame, where both operands are in scope. Every expression rule
+yields a complete expression of its language (a Mongo operator nests as
+JSON), so no derivation needs a language-specific step.
 """
 from __future__ import annotations
 
@@ -50,9 +52,6 @@ _MAP_RULES: dict[object, str] = {
     "lower": "lower",
     "abs": "abs",
 }
-
-#: rules that combine predicate bodies, so compose over the frame
-_BOOLEAN_RULES = frozenset({"and", "or", "not"})
 
 #: ``other`` of a unary derivation (``None`` is the NULL literal)
 _UNARY = object()
@@ -121,6 +120,15 @@ class PolyFrame:
             base_query=base_query,
         )
 
+    def _check_frame(self, column: "PolyFrameColumn", base_query: str | None = None) -> None:
+        """Raise ``ValueError`` if ``column`` reads another dataset than this
+        frame or, given ``base_query``, derives from another frame. A Mongo
+        query names no dataset, so the dataset is compared too."""
+        if (column.namespace, column.collection) != (self.namespace, self.collection) or (
+            base_query is not None and column.base_query != base_query
+        ):
+            raise ValueError(f"cannot combine different frames (column {column.name!r})")
+
     def _execute(self, query: str) -> pd.DataFrame:
         return self.connector.execute(query, self.namespace, self.collection)
 
@@ -164,6 +172,7 @@ class PolyFrame:
         if isinstance(key, PolyFrameColumn):
             # selection: pf[bool_col] — composed over THIS frame's query,
             # with the column's raw predicate (Table I footnote 1).
+            self._check_frame(key)
             return self._frame(
                 self.rules.apply("q6", subquery=self.query, statement=key.expr)
             )
@@ -289,28 +298,15 @@ class PolyFrameColumn(PolyFrame):
         """Derive a column by applying rewrite rule ``rule`` to this column
         and, for a binary rule, to ``other`` (a column or a literal); the
         result is named ``name``. Applies the module's one rule: ``expr``
-        over the frame; the value query over this column's own query, by
-        name, unless ``other`` is a column or ``rule`` is boolean.
+        over the frame; the value query over the frame if ``other`` is a
+        column, else over this column's own query, by name.
 
         Raises ``ValueError`` if ``other`` is a column of another frame.
         """
-        boolean = rule in _BOOLEAN_RULES
-        variables = {"attribute": self.name}
+        variables = {}
         if isinstance(other, PolyFrameColumn):
-            # a Mongo query names no dataset, so compare the dataset too
-            if (other.namespace, other.collection, other.base_query) != (
-                self.namespace, self.collection, self.base_query
-            ):
-                raise ValueError(
-                    f"cannot combine columns {self.name!r} and {other.name!r} "
-                    "of different frames"
-                )
-            if boolean or not self.rules.has("col_ref"):
-                variables["right"] = other.expr
-            else:
-                # MongoDB's operator templates take field names, so a
-                # column on the right needs an explicit reference form
-                variables["right"] = self.rules.apply("col_ref", attribute=other.name)
+            self._check_frame(other, self.base_query)
+            variables["right"] = other.expr
         elif other is not _UNARY:
             variables["right"] = self.rules.literal(_native(other))
 
@@ -318,7 +314,7 @@ class PolyFrameColumn(PolyFrame):
             return self.rules.apply(rule, left=operand, statement=operand, **variables)
 
         expr = form(self.expr)
-        if boolean or isinstance(other, PolyFrameColumn):
+        if isinstance(other, PolyFrameColumn):
             subquery, statement = self.base_query, expr
         else:
             ref = self.rules.apply("single_attribute", attribute=self.name)

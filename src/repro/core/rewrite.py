@@ -8,8 +8,8 @@ contain *rewrite variables* written ``$name`` (italicized in the paper's
 Fig. 3); :meth:`RewriteRules.apply` substitutes caller-supplied values for
 them in one pass, longest variable name first: ``$sort_desc_attr`` is never
 read as a ``$sort`` variable, substituted text is never re-scanned, and
-MongoDB's ``"$min": "$$attribute"`` keeps its literal leading ``$`` while
-``$attribute`` is rewritten.
+MongoDB's ``{ "$min": "$$attribute" }`` keeps its literal leading ``$``
+while ``$attribute`` is rewritten.
 
 Users may override or add rules at runtime (*User-Defined Rewrites*,
 paper §I contribution 4) via :meth:`RewriteRules.set`.

@@ -139,6 +139,100 @@ def stage_names(pipeline: list[dict]) -> list[str]:
     return [next(iter(s)) for s in pipeline]
 
 
+# the whole pipeline of each expression, compared as parsed JSON, so a
+# change of rule text that keeps the pipeline's meaning passes
+MATCH_ALL = {"$match": {}}
+NO_ID = {"$project": {"_id": 0}}
+COUNT = {"$count": "count"}
+LIMIT_5 = {"$limit": 5}
+
+
+def match_expr(expr: dict) -> dict:
+    return {"$match": {"$expr": expr}}
+
+
+EXPECTED_MONGO = {
+    1: [MATCH_ALL, COUNT],
+    2: [MATCH_ALL, {"$project": {"two": 1, "four": 1}}, NO_ID, LIMIT_5],
+    3: [
+        MATCH_ALL,
+        match_expr(
+            {
+                "$and": [
+                    {"$and": [{"$eq": ["$ten", 7]}, {"$eq": ["$twentyPercent", 2]}]},
+                    {"$eq": ["$two", 1]},
+                ]
+            }
+        ),
+        COUNT,
+    ],
+    4: [
+        MATCH_ALL,
+        {
+            "$group": {
+                "_id": {"oddOnePercent": "$oddOnePercent"},
+                "count_oddOnePercent": {"$count": "$oddOnePercent"},
+            }
+        },
+        {"$addFields": {"oddOnePercent": "$_id.oddOnePercent"}},
+        NO_ID,
+    ],
+    5: [
+        MATCH_ALL,
+        {"$project": {"stringu1": 1}},
+        {"$project": {"stringu1": {"$toUpper": "$stringu1"}}},
+        NO_ID,
+        LIMIT_5,
+    ],
+    6: [
+        MATCH_ALL,
+        {"$project": {"unique1": 1}},
+        {"$group": {"_id": {}, "max_unique1": {"$max": "$unique1"}}},
+        NO_ID,
+    ],
+    7: [
+        MATCH_ALL,
+        {"$project": {"unique1": 1}},
+        {"$group": {"_id": {}, "min_unique1": {"$min": "$unique1"}}},
+        NO_ID,
+    ],
+    8: [
+        MATCH_ALL,
+        {"$group": {"_id": {"twenty": "$twenty"}, "max_four": {"$max": "$four"}}},
+        {"$addFields": {"twenty": "$_id.twenty"}},
+        NO_ID,
+    ],
+    9: [MATCH_ALL, {"$sort": {"unique1": -1}}, NO_ID, LIMIT_5],
+    10: [MATCH_ALL, match_expr({"$eq": ["$ten", 7]}), NO_ID, LIMIT_5],
+    11: [
+        MATCH_ALL,
+        match_expr(
+            {"$and": [{"$gte": ["$onePercent", 10]}, {"$lte": ["$onePercent", 30]}]}
+        ),
+        COUNT,
+    ],
+    12: [
+        MATCH_ALL,
+        {
+            "$lookup": {
+                "from": "wisconsin2",
+                "as": "r",
+                "let": {"lv": "$unique1"},
+                "pipeline": [MATCH_ALL, match_expr({"$eq": ["$unique1", "$$lv"]})],
+            }
+        },
+        {"$unwind": {"path": "$r", "preserveNullAndEmptyArrays": False}},
+        COUNT,
+    ],
+    13: [MATCH_ALL, match_expr({"$lt": ["$tenPercent", None]}), COUNT],
+}
+
+
+@pytest.mark.parametrize("expr_id", sorted(EXPECTED_MONGO))
+def test_appendix_h_mongo_pipeline(expr_id):
+    assert mongo_pipeline(expr_id) == EXPECTED_MONGO[expr_id]
+
+
 @pytest.mark.parametrize(
     "expr_id,names",
     [

@@ -10,7 +10,7 @@ import operator
 import pandas as pd
 import pytest
 
-from repro.bench.harness import BACKENDS
+from repro.bench.harness import BACKENDS, COLLECTION, NAMESPACE
 from repro.bench.recording import RecordingConnector
 from repro.core import DatasetNotRegistered, PolyFrame
 from repro.core.aframe import PolyFrameColumn
@@ -155,11 +155,12 @@ CHAINS = {
     "map-max": lambda f: f["unique1"].map(abs).max(),
     "filter-arith": lambda f: len(f[(f["ten"] + 1) > 5]),
     "filter-invert-and": lambda f: len(f[~(f["ten"] == 3) & (f["four"] > 1)]),
+    # computed columns in a Mongo filter, combined, or cast
+    "filter-astype": lambda f: len(f[f["ten"].astype(str) == "3"]),
+    "filter-two-computed": lambda f: len(f[(f["ten"] + 1) > f["four"] * 2]),
+    "filter-invert-computed": lambda f: len(f[~((f["ten"] % 3) == 0)]),
+    "isna-computed-filter": lambda f: len(f[(f["tenPercent"] + 1).notna()]),
 }
-
-#: a computed expression in a Mongo filter, and Mongo ``astype``, form stage
-#: text that is not JSON (DESIGN.md §3)
-MONGO_RAISES = {"compare-astype", "filter-on-map", "filter-precedence", "filter-arith"}
 
 #: after a ``map``, SQL++ ``SELECT VALUE`` drops the column name, so a
 #: further step fails (DESIGN.md §3)
@@ -185,8 +186,7 @@ class TestChainedColumns:
             (b, c)
             for c in CHAINS
             for b in BACKENDS
-            if not (b == "mongo" and c in MONGO_RAISES)
-            and not (b == "sqlpp" and c in SQLPP_LEFT_OUT)
+            if not (b == "sqlpp" and c in SQLPP_LEFT_OUT)
         ],
         indirect=["backend"],
     )
@@ -195,11 +195,12 @@ class TestChainedColumns:
         pf, _ = polyframes(conn)
         assert _values(CHAINS[chain](pf)) == _values(CHAINS[chain](wdata))
 
-    @pytest.mark.parametrize("chain", sorted(MONGO_RAISES))
-    def test_mongo_raises_typed_error(self, backends, chain):
-        pf, _ = polyframes(backends["mongo"])
+    def test_mongo_stage_text_not_json_raises_typed_error(self, backends):
+        rules = load_language("mongo").copy()
+        rules.set("q3", '$subquery,\n { "$count": count }')
+        pf = PolyFrame(NAMESPACE, COLLECTION, backends["mongo"], rules=rules)
         with pytest.raises(MongoEngineError, match="not valid JSON"):
-            _values(CHAINS[chain](pf))
+            len(pf)
 
     @pytest.mark.parametrize(
         "backend", [b for b in BACKENDS if b != "sqlpp"], indirect=True
@@ -225,6 +226,17 @@ class TestChainedColumns:
         pf, pf2 = PolyFrame("T", "a", conn), PolyFrame("T", "b", conn)
         with pytest.raises(ValueError, match="different frames"):
             op(pf["x"], pf2["x"])
+
+    @pytest.mark.parametrize("language", BACKENDS)
+    def test_filter_key_of_another_dataset_raises(self, language):
+        # a query would read the key's column from the filtered frame
+        conn = RecordingConnector(language)
+        pf, pf2 = PolyFrame("T", "a", conn), PolyFrame("T", "b", conn)
+        with pytest.raises(ValueError, match="different frames"):
+            pf[pf2["x"] == 1]
+        # a key of a parent frame of the same dataset reads the same rows,
+        # and pandas accepts it too
+        assert pf[pf["x"] > 0][pf["y"] == 1].query
 
 
 class TestColumnActions:

@@ -269,7 +269,7 @@ class TestComposition:
     def test_fig3_min_age_composition_mongo(self):
         rules = load_language("mongo")
         agg = rules.apply("min", attribute="age")
-        assert agg == '"$min": "$age"'  # Fig. 3 row 3, MongoDB column
+        assert agg == '{ "$min": "$age" }'  # Fig. 3 row 3, MongoDB column
 
     def test_fig3_min_age_composition_cypher(self):
         rules = load_language("cypher")
@@ -278,7 +278,7 @@ class TestComposition:
     def test_fig3_stddev_rules(self):
         # Fig. 3 row 7 across languages
         assert load_language("sqlpp").apply("std", attribute="a") == "STDDEV(t.a)"
-        assert load_language("mongo").apply("std", attribute="a") == '"$stdDevPop": "$a"'
+        assert load_language("mongo").apply("std", attribute="a") == '{ "$stdDevPop": "$a" }'
         assert load_language("cypher").apply("std", attribute="a") == "stDevP(t.a)"
 
     def test_mongo_q2_composes_to_valid_json(self):
@@ -297,15 +297,34 @@ class TestComposition:
         """Each instantiated Mongo rule must parse as JSON stage text."""
         rules = load_language("mongo")
         base = rules.apply("q1")
+        a = rules.apply("single_attribute", attribute="a")
         cases = {
             "q3": dict(subquery=base),
             "q4": dict(subquery=base, sort_desc_attr=rules.apply("sort_desc_attr", attribute="a")),
             "q5": dict(subquery=base, sort_asc_attr=rules.apply("sort_asc_attr", attribute="a")),
-            "q6": dict(subquery=base, statement=rules.apply("eq", left="a", right="1")),
-            "q7": dict(subquery=base, statement=rules.apply("eq", left="a", right="1"), alias="val"),
+            "q6": dict(subquery=base, statement=rules.apply("eq", left=a, right="1")),
+            "q7": dict(subquery=base, statement=rules.apply("eq", left=a, right="1"), alias="val"),
             "q8": dict(subquery=base, agg_func=rules.apply("attribute_alias", alias="m", attribute=rules.apply("max", attribute="a"))),
             "limit": dict(subquery=base, num=5),
             "return_all": dict(subquery=base),
         }
         for key, kwargs in cases.items():
             json.loads("[" + rules.apply(key, **kwargs) + "]")
+
+    def test_mongo_expression_rules_yield_complete_expressions(self):
+        """Each Mongo expression rule, given complete operands, is one
+        aggregation expression, so rules nest without added braces."""
+        rules = load_language("mongo")
+        assert json.loads(rules.apply("single_attribute", attribute="a")) == "$a"
+        operands = dict(left='"$a"', statement='"$a"', right="1")
+        keys = (
+            "eq ne gt lt ge le is_missing not_missing add sub mul div mod "
+            "and or not upper lower abs to_str to_int"
+        ).split()
+        cases = [(key, rules.apply(key, **operands)) for key in keys] + [
+            (key, rules.apply(key, attribute="a"))
+            for key in ("min", "max", "avg", "std", "count")
+        ]
+        for key, text in cases:
+            expr = json.loads(text)
+            assert isinstance(expr, dict) and len(expr) == 1, (key, text)
