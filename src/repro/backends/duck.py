@@ -28,7 +28,6 @@ class DuckDBConnector(DBConnector):
     ):
         super().__init__(rules)
         self.con = con if con is not None else duckdb.connect()
-        self._registered: set[tuple[str, str]] = set()
 
     def register(self, namespace: str, collection: str, data) -> None:
         """Load a pandas (or Spark) DataFrame as table namespace.collection."""
@@ -40,7 +39,6 @@ class DuckDBConnector(DBConnector):
             "AS SELECT * FROM _polyframe_staging"
         )
         self.con.unregister("_polyframe_staging")
-        self._registered.add((namespace, collection))
 
     def initialize(self, namespace: str, collection: str) -> None:
         hit = self.con.execute(

@@ -69,8 +69,8 @@ class SparkConnector(DBConnector):
 
     Temp views belong to the session, so every Spark-backed connector on
     one session shares the view of a ``namespace.collection``. The Mongo
-    and Cypher subclasses compile from :attr:`columns`: a view replaced by
-    other code with a different schema must be registered again on them.
+    subclass compiles from :attr:`columns`: a view replaced by other code
+    with a different schema must be registered again on it.
     """
 
     language = "sparksql"
@@ -79,8 +79,9 @@ class SparkConnector(DBConnector):
         super().__init__(rules)
         self.spark = spark
         #: temp-view name -> its columns when this connector registered (or
-        #: first initialized) it; the Mongo and Cypher compilers read them,
-        #: so turning a query into Spark SQL text makes no Spark call
+        #: first initialized) it; the Mongo compiler reads them, so turning
+        #: a pipeline into Spark SQL text makes no Spark call, and the Cypher
+        #: compiler reads the keys to reject an unknown label
         self.columns: dict[str, list[str]] = {}
 
     def register(

@@ -41,7 +41,7 @@ from pyspark.sql import DataFrame, SparkSession
 
 from repro.backends.spark import DEFAULT_NAMESPACE, view_name
 from repro.core.rewrite import load_language
-from repro.translate import SqlQuery, quote_ident as q
+from repro.translate import quote_ident as q
 
 _CMP_OPS = {"$eq": "=", "$ne": "<>", "$gt": ">", "$lt": "<", "$gte": ">=", "$lte": "<="}
 _ARITH_OPS = {"$add": "+", "$subtract": "-", "$multiply": "*", "$divide": "/", "$mod": "%"}
@@ -64,6 +64,23 @@ _ACCUMULATORS = {
 #: Stage ``$name`` compiles in method ``_name`` (lower case); ``$lookup``
 #: compiles together with the ``$unwind`` after it.
 _STAGES = {"$match", "$project", "$addFields", "$group", "$sort", "$limit", "$count", "$lookup", "$unwind"}
+
+
+class SqlQuery:
+    """A Spark SQL query built one stage at a time: its text and its output
+    columns. The compiler tracks the columns itself, because ``_id``, an
+    exclusion ``$project`` and ``$addFields`` need the field list."""
+
+    def __init__(self, sql: str, cols: list[str]):
+        self.sql, self.cols = sql, cols
+
+    def select(self, items: list[str], cols: list[str], tail: str = "") -> "SqlQuery":
+        """``SELECT items FROM (this) tail``, with output columns ``cols``."""
+        return SqlQuery(f"SELECT {', '.join(items)} FROM ({self.sql}){tail}", cols)
+
+    def keep(self, tail: str) -> "SqlQuery":
+        """``SELECT * FROM (this) tail``: same columns (WHERE, ORDER BY, LIMIT)."""
+        return SqlQuery(f"SELECT * FROM ({self.sql}){tail}", self.cols)
 
 
 class MongoEngineError(ValueError):
@@ -271,8 +288,9 @@ class MongoEngine:
         return query.select([f"count(1) AS {q(spec)}"], [spec])
 
     def _lookup(self, left: SqlQuery, spec: dict, unwind: tuple, ns: str) -> SqlQuery:
-        """``$lookup`` + ``$unwind`` of its ``as`` field as one equi-join;
-        the foreign fields are joined as ``__r_<field>``."""
+        """``$lookup`` + ``$unwind`` of its ``as`` field as one equi-join.
+        Each foreign document is joined as one struct, ``__doc``, so an
+        unmatched one (``preserveNullAndEmptyArrays``) is NULL."""
         as_name = spec["as"]
         # let-variables are evaluated against the OUTER document
         env = {name: self._expr(e) for name, e in spec.get("let", {}).items()}
@@ -293,18 +311,14 @@ class MongoEngine:
         if path != "$" + as_name:
             raise MongoEngineError(f"$lookup must be followed by an $unwind of '${as_name}'")
         right = self._pipeline(stages, spec["from"], ns, False)
-        renamed = [f"{q(c)} AS {q('__r_' + c)}" for c in right.cols]
-        doc = "struct(" + ", ".join(f"{q('__r_' + c)} AS {q(c)}" for c in right.cols) + ")"
         field, var = on
-        if preserve:  # an unmatched document keeps a null field
-            doc = f"IF({q('__r_' + field)} IS NULL, NULL, {doc})"
         cols = [c for c in left.cols if c != as_name] + [as_name]
-        items = [q(c) for c in cols[:-1]] + [f"{doc} AS {q(as_name)}"]
+        items = [q(c) for c in cols[:-1]] + [f"`__doc` AS {q(as_name)}"]
         return SqlQuery(
             f"SELECT {', '.join(items)} FROM ({left.sql}) AS l "
             f"{'LEFT' if preserve else 'INNER'} JOIN "
-            f"(SELECT {', '.join(renamed)} FROM ({right.sql})) AS r "
-            f"ON {var} = {q('__r_' + field)}",
+            f"(SELECT struct(*) AS `__doc` FROM ({right.sql})) AS r "
+            f"ON {var} = `__doc`.{q(field)}",
             cols,
         )
 

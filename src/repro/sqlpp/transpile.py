@@ -31,42 +31,11 @@ _BARE_VALUE_RE = re.compile(r"SELECT\s+VALUE\s+(\w+)\s+FROM", re.IGNORECASE)
 _JOIN_VARS_RE = re.compile(r"SELECT\s+(\w+)\s*,\s*(\w+)\s+FROM", re.IGNORECASE)
 _DATASET_RE = re.compile(r"FROM\s+(\w+)\.(\w+)(\s+\w+)", re.IGNORECASE)
 _SELECT_VALUE_RE = re.compile(r"SELECT\s+(DISTINCT\s+)?VALUE\s+", re.IGNORECASE)
-
-
-def _wrap_select_value(text: str) -> str:
-    """Rewrite every ``SELECT [DISTINCT] VALUE <expr> FROM`` whose expr is
-    not a bare variable into ``SELECT [DISTINCT] (<expr>) AS val FROM``,
-    scanning parenthesis-aware for the matching top-level FROM."""
-    out = []
-    i = 0
-    while m := _SELECT_VALUE_RE.search(text, i):
-        out.append(text[i : m.start()])
-        # find the FROM at depth 0 after the expression
-        j = m.end()
-        depth = 0
-        from_at = None
-        while j < len(text):
-            ch = text[j]
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                if depth == 0:
-                    break  # we are inside an enclosing subquery with no FROM
-                depth -= 1
-            elif depth == 0 and text[j : j + 5].upper() == "FROM ":
-                # require word boundary before FROM
-                if j == 0 or not text[j - 1].isalnum():
-                    from_at = j
-                    break
-            j += 1
-        if from_at is None:
-            raise ValueError(f"SELECT VALUE without matching FROM in: {text!r}")
-        expr = text[m.end() : from_at].strip()
-        distinct = "DISTINCT " if m[1] else ""
-        out.append(f"SELECT {distinct}({expr}) AS val FROM")
-        i = from_at + 4
-    out.append(text[i:])
-    return "".join(out)
+#: ``SELECT [DISTINCT] VALUE <expr> FROM``: PolyFrame emits no subquery
+#: inside ``<expr>``, so its FROM is the first one after it.
+_VALUE_EXPR_RE = re.compile(
+    r"SELECT\s+(DISTINCT\s+)?VALUE\s+(.+?)\s+FROM\b", re.IGNORECASE | re.DOTALL
+)
 
 
 def transpile(query: str) -> str:
@@ -85,7 +54,9 @@ def _translate(text: str) -> str:
         r"SELECT struct(\1.*) AS \1, struct(\2.*) AS \2 FROM", text
     )
     # remaining VALUE selects carry expressions
-    text = _wrap_select_value(text)
+    text = _VALUE_EXPR_RE.sub(r"SELECT \1(\2) AS val FROM", text)
+    if _SELECT_VALUE_RE.search(text):
+        raise ValueError(f"SELECT VALUE without matching FROM in: {text!r}")
     # missing-ness predicates
     text = re.sub(r"IS\s+UNKNOWN", "IS NULL", text, flags=re.IGNORECASE)
     text = re.sub(r"IS\s+KNOWN", "IS NOT NULL", text, flags=re.IGNORECASE)

@@ -4,9 +4,8 @@ The SQL++ transpiler (:mod:`repro.sqlpp.transpile`) and the Cypher compiler
 (:mod:`repro.cypher.engine`) rewrite query text with regular expressions.
 :func:`outside_literals` keeps those rewrites out of string literals, so a
 value such as ``'a IS UNKNOWN'`` or ``'t.name'`` reaches Spark unchanged.
-The Mongo and Cypher compilers build Spark SQL themselves, one
-:class:`SqlQuery` level per stage or clause, quoting identifiers with
-:func:`quote_ident`.
+The Mongo and Cypher compilers build Spark SQL themselves, one ``SELECT``
+per stage or clause, quoting identifiers with :func:`quote_ident`.
 """
 from __future__ import annotations
 
@@ -53,19 +52,3 @@ def replace_call(text: str, func: str, template: str) -> str:
 def quote_ident(name: str) -> str:
     """A Spark SQL identifier: ``name`` in backticks."""
     return "`" + name.replace("`", "``") + "`"
-
-
-class SqlQuery:
-    """A Spark SQL query built one clause at a time: its text and its
-    output columns, which the compilers track themselves."""
-
-    def __init__(self, sql: str, cols: list[str]):
-        self.sql, self.cols = sql, cols
-
-    def select(self, items: list[str], cols: list[str], tail: str = "") -> "SqlQuery":
-        """``SELECT items FROM (this) tail``, with output columns ``cols``."""
-        return SqlQuery(f"SELECT {', '.join(items)} FROM ({self.sql}){tail}", cols)
-
-    def keep(self, tail: str) -> "SqlQuery":
-        """``SELECT * FROM (this) tail``: same columns (WHERE, ORDER BY, LIMIT)."""
-        return SqlQuery(f"SELECT * FROM ({self.sql}){tail}", self.cols)

@@ -93,11 +93,13 @@ def test_count_prunes_columns(parquet_conn):
     assert "stringu1" not in plan.split("Relation")[0]  # not in Aggregate/Project
 
 
-def test_mongo_lookup_unwind_is_one_join(backends, monkeypatch):
-    """Expression 12 (Join & Count) on the mongo backend: ``$lookup`` +
-    ``$unwind`` run as one equi-join, not as a ``collect_list`` aggregate
+@pytest.mark.parametrize("name", ["mongo", "cypher"])
+def test_join_is_one_equi_join(backends, monkeypatch, name):
+    """Expression 12 (Join & Count) on the mongo and cypher backends runs as
+    one equi-join: mongo's ``$lookup`` + ``$unwind`` and cypher's
+    ``MATCH (r) WHERE t.a = r.b`` are not a ``collect_list`` aggregate
     joined and then exploded (a ``Generate``)."""
-    conn = backends["mongo"]
+    conn = backends[name]
     built = []
     execute = conn.engine.execute
 

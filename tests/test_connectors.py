@@ -118,6 +118,22 @@ class TestSparkInputs:
         for conn in spark_backed(spark):
             assert len(PolyFrame("V", "w", conn)) == 12, conn.language
 
+    def test_replaced_view_is_read_as_it_is_now(self, spark):
+        # mongo is left out: its compiler reads the columns captured at
+        # registration (DESIGN.md §2)
+        from repro.backends.engines import CypherConnector, SqlPPConnector
+        from repro.backends.spark import SparkConnector
+
+        old = pd.DataFrame({"a": [1, 2, 3], "b": [4, 5, 6]})
+        new = pd.DataFrame({"a": [1, 2, 3], "c": [7, 9, 8], "b": [4, 5, 6]})
+        for kind in (SparkConnector, SqlPPConnector, CypherConnector):
+            conn = kind(spark)
+            conn.register("R", "w", old)
+            SparkConnector(spark).register("R", "w", new)
+            pf = PolyFrame("R", "w", conn)
+            assert list(pf.toPandas().columns) == ["a", "c", "b"], conn.language
+            assert pf["c"].max() == new["c"].max(), conn.language
+
     def test_duckdb_accepts_spark_dataframe(self, spark, wdata):
         from repro.backends.duck import DuckDBConnector
 

@@ -44,14 +44,10 @@ class TestHelpers:
     def test_split_top_level_respects_quotes(self):
         assert _split_top_level("'a,b': 1, 'c': 2") == ["'a,b': 1", "'c': 2"]
 
-    def test_to_sql_variable_refs(self):
-        assert _to_sql("t.ten = 7") == "ten = 7"
-        assert _to_sql("t.a = r.b") == "a = __r_b"
-
     def test_to_sql_function_mapping(self):
-        assert _to_sql("stDevP(t.a)") == "stddev_pop(a)"
-        assert _to_sql("apoc.convert.toInteger(t.a = 1)") == "CAST(a = 1 AS INT)"
-        assert _to_sql("apoc.convert.toString(t.a)") == "CAST(a AS STRING)"
+        assert _to_sql("stDevP(t.a)") == "stddev_pop(t.a)"
+        assert _to_sql("apoc.convert.toInteger(t.a = 1)") == "CAST(t.a = 1 AS INT)"
+        assert _to_sql("apoc.convert.toString(t.a)") == "CAST(t.a AS STRING)"
 
 
 class TestBasics:
@@ -75,6 +71,13 @@ class TestBasics:
     def test_query_must_start_with_match(self, engine):
         with pytest.raises(CypherEngineError):
             run(engine, "WITH t\nRETURN t")
+
+    @pytest.mark.parametrize(
+        "query", ["MATCH (t: nodes)\nWITH t", "MATCH (t: nodes)\nRETURN t\nWITH t"]
+    )
+    def test_query_must_end_with_return(self, engine, query):
+        with pytest.raises(CypherEngineError, match="RETURN"):
+            run(engine, query)
 
 
 class TestWith:
