@@ -16,6 +16,11 @@ from repro.core.connector import DatasetNotRegistered, DBConnector
 from repro.core.rewrite import RewriteRules
 
 
+def _quoted(name: str) -> str:
+    """``name`` as a double-quoted SQL identifier."""
+    return '"' + name.replace('"', '""') + '"'
+
+
 class DuckDBConnector(DBConnector):
     """Executes PolyFrame's generated SQL on an embedded DuckDB."""
 
@@ -32,22 +37,21 @@ class DuckDBConnector(DBConnector):
     def register(self, namespace: str, collection: str, data) -> None:
         """Load a pandas (or Spark) DataFrame as table namespace.collection."""
         pdf = data if isinstance(data, pd.DataFrame) else data.toPandas()
-        self.con.execute(f'CREATE SCHEMA IF NOT EXISTS "{namespace}"')
+        self.con.execute(f"CREATE SCHEMA IF NOT EXISTS {_quoted(namespace)}")
         self.con.register("_polyframe_staging", pdf)
         self.con.execute(
-            f'CREATE OR REPLACE TABLE "{namespace}"."{collection}" '
+            f"CREATE OR REPLACE TABLE {_quoted(namespace)}.{_quoted(collection)} "
             "AS SELECT * FROM _polyframe_staging"
         )
         self.con.unregister("_polyframe_staging")
 
     def initialize(self, namespace: str, collection: str) -> None:
-        hit = self.con.execute(
-            "SELECT COUNT(*) FROM information_schema.tables "
-            "WHERE table_schema = ? AND table_name = ?",
-            [namespace, collection],
-        ).fetchone()[0]
-        if not hit:
-            raise DatasetNotRegistered(f"{namespace}.{collection}")
+        # binding a query resolves tables and views alike, and reads no row
+        table = f"{_quoted(namespace)}.{_quoted(collection)}"
+        try:
+            self.con.sql(f"SELECT * FROM {table} LIMIT 0")
+        except duckdb.CatalogException:
+            raise DatasetNotRegistered(f"{namespace}.{collection}") from None
 
     def send_query(self, query: str, namespace: str, collection: str) -> pd.DataFrame:
         return self.con.execute(query).fetchdf()

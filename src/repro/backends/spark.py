@@ -15,13 +15,16 @@ incremental formation are collapsed by CollapseProject and
 PushDownPredicates before execution (see tests/test_catalyst_plans.py).
 
 Loading rule, shared by every Spark-backed connector (:func:`load_dataframe`):
-pandas data is loaded into Spark once, when it is registered; a Spark
-DataFrame is used exactly as given. As in the paper, an action is then one
-query over data already in the backend. A bare ``createDataFrame(pdf)``
-would instead keep every row inside each query plan as a ``LocalRelation``,
-which Catalyst re-folds in the driver on every action.
+pandas data is loaded into Spark once, when it is registered, in as few
+partitions as its size needs; a Spark DataFrame is used exactly as given.
+As in the paper, an action is then one query over data already in the
+backend. A bare ``createDataFrame(pdf)`` would instead keep every row
+inside each query plan as a ``LocalRelation``, which Catalyst re-folds in
+the driver on every action.
 """
 from __future__ import annotations
+
+import math
 
 import pandas as pd
 from pyspark.sql import DataFrame as SparkDataFrame, SparkSession
@@ -42,12 +45,35 @@ def load_dataframe(
     ``cache()`` is not used: cached plans still pay the cache manager's
     plan matching and the columnar decode on every action.
 
-    A Spark DataFrame is returned unchanged, so parquet-backed or
-    ``cache()``d inputs keep their own scans.
+    The rows are stored in :func:`_partition_count` partitions: one per
+    ``spark.sql.adaptive.advisoryPartitionSizeInBytes`` of pandas memory,
+    at most one per core. ``createDataFrame`` alone would keep one
+    partition per core, or per Arrow batch, however small the data; then
+    every aggregate, sort and join plans an ``Exchange``, which AQE runs
+    as a Spark job of its own. Data in one partition already has every
+    distribution those operators need, so an action on it runs as one job
+    of one task. ``coalesce`` merges partitions without a shuffle.
+
+    A Spark DataFrame is returned unchanged, so parquet-backed,
+    ``cache()``d or repartitioned inputs (the multi-node simulation) keep
+    their own scans and partitions.
     """
     if isinstance(data, SparkDataFrame):
         return data
-    return spark.createDataFrame(data).localCheckpoint(eager=True)
+    df = spark.createDataFrame(data).coalesce(_partition_count(spark, data))
+    return df.localCheckpoint(eager=True)
+
+
+def _partition_count(spark: SparkSession, data: pd.DataFrame) -> int:
+    """Partitions for ``data``: ``ceil(bytes / advisory partition size)``,
+    clamped to ``[1, defaultParallelism]``. The advisory size is the one
+    AQE already coalesces shuffle output to (64 MB by default)."""
+    advisory = spark.conf.get("spark.sql.adaptive.advisoryPartitionSizeInBytes")
+    target = spark._jvm.org.apache.spark.network.util.JavaUtils.byteStringAsBytes(
+        advisory
+    )
+    n = math.ceil(data.memory_usage(deep=True).sum() / target)
+    return min(max(n, 1), spark.sparkContext.defaultParallelism)
 
 
 #: The namespace of a Mongo or Cypher engine query run without one.

@@ -56,6 +56,11 @@ _MAP_RULES: dict[object, str] = {
 #: ``other`` of a unary derivation (``None`` is the NULL literal)
 _UNARY = object()
 
+#: ``_columns`` of a frame with all of its dataset's columns: q1 and its
+#: filters and sorts. A projection holds its names; ``None`` marks columns
+#: that formation cannot tell (a join, a group-by, a computed column).
+_DATASET_COLUMNS = object()
+
 _NUMERIC_DTYPE_MARKERS = ("int", "long", "float", "double", "decimal", "real")
 
 
@@ -85,6 +90,7 @@ class PolyFrame:
         connector: DBConnector,
         rules: RewriteRules | None = None,
         _query: str | None = None,
+        _columns: object = _DATASET_COLUMNS,
     ):
         self.namespace = namespace
         self.collection = collection
@@ -99,22 +105,31 @@ class PolyFrame:
                 "q1", namespace=namespace, collection=collection
             )
         self.query = _query
+        self._columns = _columns
 
     # ------------------------------------------------------------------
     # plumbing
     # ------------------------------------------------------------------
-    def _frame(self, query: str) -> "PolyFrame":
+    def _frame(self, query: str, columns: object = None) -> "PolyFrame":
         return PolyFrame(
-            self.namespace, self.collection, self.connector, self.rules, _query=query
+            self.namespace,
+            self.collection,
+            self.connector,
+            self.rules,
+            _query=query,
+            _columns=columns,
         )
 
-    def _column(self, query: str, expr: str, name: str, base_query: str) -> "PolyFrameColumn":
+    def _column(
+        self, query: str, expr: str, name: str, base_query: str, columns: object = None
+    ) -> "PolyFrameColumn":
         return PolyFrameColumn(
             self.namespace,
             self.collection,
             self.connector,
             self.rules,
             _query=query,
+            _columns=columns,
             expr=expr,
             name=name,
             base_query=base_query,
@@ -174,13 +189,16 @@ class PolyFrame:
             # with the column's raw predicate (Table I footnote 1).
             self._check_frame(key)
             return self._frame(
-                self.rules.apply("q6", subquery=self.query, statement=key.expr)
+                self.rules.apply("q6", subquery=self.query, statement=key.expr),
+                self._columns,
             )
         if isinstance(key, str):
             proj = self.rules.apply("proj_attr", attribute=key)
             query = self.rules.apply("q2", subquery=self.query, attribute_alias=proj)
             expr = self.rules.apply("single_attribute", attribute=key)
-            return self._column(query, expr=expr, name=key, base_query=self.query)
+            return self._column(
+                query, expr=expr, name=key, base_query=self.query, columns=(key,)
+            )
         if isinstance(key, (list, tuple)):
             items = [self.rules.apply("proj_attr", attribute=a) for a in key]
             return self._frame(
@@ -188,7 +206,8 @@ class PolyFrame:
                     "q2",
                     subquery=self.query,
                     attribute_alias=self.rules.join_items(items),
-                )
+                ),
+                tuple(key),
             )
         raise TypeError(f"unsupported key type: {type(key).__name__}")
 
@@ -198,11 +217,13 @@ class PolyFrame:
         if ascending:
             attr = self.rules.apply("sort_asc_attr", attribute=by)
             return self._frame(
-                self.rules.apply("q5", subquery=self.query, sort_asc_attr=attr)
+                self.rules.apply("q5", subquery=self.query, sort_asc_attr=attr),
+                self._columns,
             )
         attr = self.rules.apply("sort_desc_attr", attribute=by)
         return self._frame(
-            self.rules.apply("q4", subquery=self.query, sort_desc_attr=attr)
+            self.rules.apply("q4", subquery=self.query, sort_desc_attr=attr),
+            self._columns,
         )
 
     def groupby(self, by: str | list[str]) -> "PolyFrameGroupBy":
@@ -252,17 +273,37 @@ class PolyFrame:
         result = self._execute(self.rules.apply("q3", subquery=self.query))
         return int(result.iloc[0, 0])
 
+    def _numeric_columns(self) -> list[str]:
+        """This frame's columns that its dataset's schema types as numeric."""
+        if self._columns is None:
+            raise ValueError(
+                "describe() cannot tell this frame's columns; pass `columns`"
+            )
+        dtypes = dict(self.connector.get_columns(self.namespace, self.collection))
+        names = dtypes if self._columns is _DATASET_COLUMNS else self._columns
+        unknown = [c for c in names if c not in dtypes]
+        if unknown:
+            raise ValueError(
+                f"describe() cannot tell the types of {unknown}; pass `columns`"
+            )
+        numeric = [c for c in names if _is_numeric_dtype(dtypes[c])]
+        if not numeric:
+            raise ValueError("describe() found no numeric column to describe")
+        return numeric
+
     def describe(self, columns: list[str] | None = None) -> pd.DataFrame:
         """Summary statistics — a *generic rule* (paper §III-C-2): composed
         from the language-specific aggregate rules 3–7 of Fig. 3, chained
         with ``attribute_separator``, then folded through q8. Returns a
-        pandas-describe-shaped frame (stats × attributes)."""
+        pandas-describe-shaped frame (stats × attributes).
+
+        Without ``columns`` it describes the frame's own numeric columns,
+        typed by the dataset's schema. Raises ``ValueError`` if formation
+        cannot tell them (a join, a group-by, a computed column) or there
+        are none.
+        """
         if columns is None:
-            columns = [
-                c
-                for c, d in self.connector.get_columns(self.namespace, self.collection)
-                if _is_numeric_dtype(d)
-            ]
+            columns = self._numeric_columns()
         stats = ("count", "avg", "std", "min", "max")
         items = [self._agg_item(f, c) for c in columns for f in stats]
         query = self.rules.apply(

@@ -6,11 +6,16 @@ results delivered as pandas DataFrames.
 """
 from __future__ import annotations
 
+import math
+
+import duckdb
 import pandas as pd
 import pytest
 
+from repro.bench.expressions import EXPRESSIONS
 from repro.core import DatasetNotRegistered, DBConnector, PolyFrame
 from repro.core.connector import DBConnector as ABCConnector
+from repro.wisconsin.generator import wisconsin_pdf
 from tests.conftest import polyframes
 
 
@@ -159,6 +164,88 @@ class TestSparkInputs:
         pf[pf["ten"] == 3][["unique1"]].head(2)
         plan = sent[-1]._jdf.queryExecution().optimizedPlan().toString()
         assert "LocalRelation" not in plan
+
+
+class TestDuckDBInitialize:
+    def test_unknown_table_in_existing_schema(self, wdata):
+        from repro.backends.duck import DuckDBConnector
+
+        conn = DuckDBConnector()
+        conn.register("A", "w", wdata.head(3))
+        with pytest.raises(DatasetNotRegistered):
+            conn.initialize("A", "nope")
+
+    def test_view_created_on_the_given_connection(self):
+        from repro.backends.duck import DuckDBConnector
+
+        con = duckdb.connect()
+        con.execute("CREATE SCHEMA V")
+        con.execute("CREATE VIEW V.w AS SELECT * FROM range(4) AS r(a)")
+        assert len(PolyFrame("V", "w", DuckDBConnector(con))) == 4
+
+    def test_names_with_a_double_quote(self, wdata):
+        from repro.backends.duck import DuckDBConnector
+
+        conn = DuckDBConnector()
+        conn.register('Q"ns', 'w"x', wdata.head(3))
+        conn.initialize('Q"ns', 'w"x')
+        with pytest.raises(DatasetNotRegistered):
+            conn.initialize('Q"ns', 'w"')
+
+
+class TestLoadPartitions:
+    """pandas data is stored in as few partitions as its size needs: one
+    per advisory partition size, at most one per core."""
+
+    @pytest.fixture(scope="class")
+    def part_conn(self, spark):
+        from repro.backends.spark import SparkConnector
+
+        conn = SparkConnector(spark)
+        data = wisconsin_pdf(5_000, seed=8)
+        conn.register("Part", "wisconsin", data)
+        conn.register("Part", "wisconsin2", data.copy())
+        return conn
+
+    def test_5000_rows_are_one_partition(self, spark, part_conn):
+        assert spark.table("Part_wisconsin").rdd.getNumPartitions() == 1
+
+    def test_table3_plans_have_no_exchange(self, part_conn, monkeypatch):
+        sent = []
+        spark_df_type = type(part_conn.spark.range(1))
+        to_pandas = spark_df_type.toPandas
+
+        def record(df):
+            sent.append(df)
+            return to_pandas(df)
+
+        monkeypatch.setattr(spark_df_type, "toPandas", record)
+        pf = PolyFrame("Part", "wisconsin", part_conn)
+        pf2 = PolyFrame("Part", "wisconsin2", part_conn)
+        for e in EXPRESSIONS:
+            sent.clear()
+            e.poly_fn(pf, pf2)
+            assert sent, e.name
+            for df in sent:
+                plan = df._jdf.queryExecution().executedPlan().toString()
+                assert "Exchange" not in plan, (e.name, plan)
+
+    @pytest.mark.parametrize("advisory", ["1m", "100k"])
+    def test_count_follows_advisory_partition_size(self, spark, advisory):
+        from repro.backends.spark import SparkConnector
+
+        key = "spark.sql.adaptive.advisoryPartitionSizeInBytes"
+        saved = spark.conf.get(key)
+        data = wisconsin_pdf(5_000, seed=8)
+        spark.conf.set(key, advisory)
+        try:
+            SparkConnector(spark).register("Part", "small", data)
+        finally:
+            spark.conf.set(key, saved)
+        target = {"1m": 1 << 20, "100k": 100 << 10}[advisory]
+        size = data.memory_usage(deep=True).sum()
+        want = min(spark.sparkContext.defaultParallelism, math.ceil(size / target))
+        assert spark.table("Part_small").rdd.getNumPartitions() == want
 
 
 class TestMongoConnectorSpecifics:

@@ -56,6 +56,27 @@ class TestDescribe:
         assert "unique1" in d.columns
         assert "stringu1" not in d.columns  # strings are not described
 
+    def test_describe_projection_matches_pandas(self, backend, wdata):
+        # the frame's own numeric columns, not the dataset's
+        _, conn = backend
+        pf, _ = polyframes(conn)
+        ddof = 1 if conn.rules.meta("std_kind") == "sample" else 0
+        for got, want in (
+            (pf[["ten", "stringu1", "two"]].describe(), wdata[["ten", "two"]]),
+            (pf[pf["two"] == 1]["ten"].describe(), wdata[wdata["two"] == 1][["ten"]]),
+        ):
+            assert list(got.columns) == list(want.columns)
+            stats = [want.count(), want.mean(), want.std(ddof=ddof)]
+            stats += [want.min(), want.max()]
+            assert got.to_numpy() == pytest.approx(pd.DataFrame(stats).to_numpy())
+
+    def test_describe_unknown_columns_raises(self, backend):
+        _, conn = backend
+        pf, pf2 = polyframes(conn)
+        for frame in (pf.merge(pf2, on="unique1"), pf["ten"] + 1, pf["stringu1"]):
+            with pytest.raises(ValueError):
+                frame.describe()
+
     def test_describe_is_single_query(self, backend):
         name, conn = backend
         pf, _ = polyframes(conn)
