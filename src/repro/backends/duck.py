@@ -45,11 +45,16 @@ class DuckDBConnector(DBConnector):
         )
         self.con.unregister("_polyframe_staging")
 
-    def initialize(self, namespace: str, collection: str) -> None:
-        # binding a query resolves tables and views alike, and reads no row
+    def _bound(self, namespace: str, collection: str) -> "duckdb.DuckDBPyRelation":
+        """``namespace.collection`` bound as a query that reads no row.
+        Binding resolves tables and views alike, and matches names without
+        regard to case, as every query on them does."""
         table = f"{_quoted(namespace)}.{_quoted(collection)}"
+        return self.con.sql(f"SELECT * FROM {table} LIMIT 0")
+
+    def initialize(self, namespace: str, collection: str) -> None:
         try:
-            self.con.sql(f"SELECT * FROM {table} LIMIT 0")
+            self._bound(namespace, collection)
         except duckdb.CatalogException:
             raise DatasetNotRegistered(f"{namespace}.{collection}") from None
 
@@ -57,9 +62,5 @@ class DuckDBConnector(DBConnector):
         return self.con.execute(query).fetchdf()
 
     def get_columns(self, namespace: str, collection: str) -> list[tuple[str, str]]:
-        rows = self.con.execute(
-            "SELECT column_name, data_type FROM information_schema.columns "
-            "WHERE table_schema = ? AND table_name = ? ORDER BY ordinal_position",
-            [namespace, collection],
-        ).fetchall()
-        return [(c, d) for c, d in rows]
+        bound = self._bound(namespace, collection)
+        return [(c, str(t)) for c, t in zip(bound.columns, bound.types)]

@@ -485,12 +485,7 @@ class PolyFrameGroupBy:
         """
         frame, rules = self._frame, self._frame.rules
         target = self._target if self._target is not None else self._by[0]
-        grp_items = [
-            rules.apply("grp_attr", attribute=a)
-            if rules.has("grp_attr")
-            else rules.apply("single_attribute", attribute=a)
-            for a in self._by
-        ]
+        grp_items = [rules.apply("proj_attr", attribute=a) for a in self._by]
         query = rules.apply(
             "q9",
             subquery=frame.query,

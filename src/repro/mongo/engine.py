@@ -19,14 +19,15 @@ each joined document as a struct, which is how MongoDB's own optimizer
 coalesces the two stages. No PolyFrame rule emits a bare ``$lookup`` or
 a lone ``$unwind``, so either raises :class:`MongoEngineError`.
 
-Document model: one flat row per document. The scan adds an ``_id``
-column (``monotonically_increasing_id()``) only when a later stage or the
-result reads it; PolyFrame's rules exclude it before returning results,
+Document model: one flat row per document, and ``_id`` is data, as in
+MongoDB. It exists only where MongoDB puts it: a collection's stored
+``_id`` column, or the ``_id`` that ``$group`` creates. The scan reads
+the collection as it is, so a frame has the same columns as on every other
+backend. PolyFrame's rules exclude ``_id`` before returning results,
 keeping it available mid-pipeline "because its presence in the pipeline
-enables index usage" (§III-D). Joined documents carry no ``_id``. BSON
-null-ordering is emulated only where the rules rely on it: a comparison
-against a ``null`` literal tests missingness (``$lt null`` ≡ IS NULL,
-``$gte null`` ≡ IS NOT NULL).
+enables index usage" (§III-D). BSON null-ordering is emulated only where
+the rules rely on it: a comparison against a ``null`` literal tests
+missingness (``$lt null`` ≡ IS NULL, ``$gte null`` ≡ IS NOT NULL).
 
 Compiling makes no Spark call: column lists come from the schema captured
 when each collection was registered
@@ -34,7 +35,6 @@ when each collection was registered
 """
 from __future__ import annotations
 
-import json
 from typing import Any
 
 from pyspark.sql import DataFrame, SparkSession
@@ -68,8 +68,9 @@ _STAGES = {"$match", "$project", "$addFields", "$group", "$sort", "$limit", "$co
 
 class SqlQuery:
     """A Spark SQL query built one stage at a time: its text and its output
-    columns. The compiler tracks the columns itself, because ``_id``, an
-    exclusion ``$project`` and ``$addFields`` need the field list."""
+    columns. The compiler tracks the columns itself, because ``_id`` in an
+    inclusion ``$project``, an exclusion ``$project``, ``$addFields`` and
+    ``$lookup`` need the field list."""
 
     def __init__(self, sql: str, cols: list[str]):
         self.sql, self.cols = sql, cols
@@ -94,20 +95,6 @@ def _stage(stage: Any) -> tuple[str, Any]:
     if name not in _STAGES:
         raise MongoEngineError(f"unsupported stage {name!r}")
     return name, spec
-
-
-def _reads_id(stages: list[tuple[str, Any]], result_reads: bool) -> bool:
-    """Whether a stage, or else the result, reads the scan's ``_id``."""
-    for name, spec in stages:
-        if '"$_id' in json.dumps(spec) or (name == "$sort" and "_id" in spec):
-            return True
-        if (
-            name in ("$group", "$count")
-            or (name == "$project" and spec.get("_id", 1) != 1)
-            or (name == "$addFields" and "_id" in spec)
-        ):
-            return False  # dropped or replaced before anything read it
-    return result_reads
 
 
 def _unwind_spec(spec: dict | str) -> tuple[str, bool]:
@@ -143,10 +130,10 @@ class MongoEngine:
     ) -> str:
         """The Spark SQL text of ``pipeline`` run on ``collection``; every
         collection name resolves in ``namespace``."""
-        return self._pipeline([_stage(s) for s in pipeline], collection, namespace, True).sql
+        return self._pipeline([_stage(s) for s in pipeline], collection, namespace).sql
 
-    def _pipeline(self, stages, collection: str, ns: str, result_reads_id: bool) -> SqlQuery:
-        query = self._scan(collection, ns, _reads_id(stages, result_reads_id))
+    def _pipeline(self, stages, collection: str, ns: str) -> SqlQuery:
+        query = self._scan(collection, ns)
         rest = iter(stages)
         for name, spec in rest:
             if name == "$lookup":
@@ -157,16 +144,11 @@ class MongoEngine:
                 query = getattr(self, "_" + name[1:].lower())(query, spec)
         return query
 
-    def _scan(self, collection: str, ns: str, with_id: bool) -> SqlQuery:
+    def _scan(self, collection: str, ns: str) -> SqlQuery:
         view = view_name(ns, collection)
         if view not in self.columns:
             raise MongoEngineError(f"unknown collection {collection!r}")
-        cols = self.columns[view]
-        if not with_id:
-            return SqlQuery(f"SELECT * FROM {q(view)}", list(cols))
-        cols = [c for c in cols if c != "_id"]  # a stored _id is replaced
-        items = [*map(q, cols), "monotonically_increasing_id() AS `_id`"]
-        return SqlQuery(f"SELECT {', '.join(items)} FROM {q(view)}", [*cols, "_id"])
+        return SqlQuery(f"SELECT * FROM {q(view)}", list(self.columns[view]))
 
     # ------------------------------------------------------------------
     # expressions -> Spark SQL
@@ -310,7 +292,7 @@ class MongoEngine:
         path, preserve = _unwind_spec(uspec) if name == "$unwind" else (None, False)
         if path != "$" + as_name:
             raise MongoEngineError(f"$lookup must be followed by an $unwind of '${as_name}'")
-        right = self._pipeline(stages, spec["from"], ns, False)
+        right = self._pipeline(stages, spec["from"], ns)
         field, var = on
         cols = [c for c in left.cols if c != as_name] + [as_name]
         items = [q(c) for c in cols[:-1]] + [f"`__doc` AS {q(as_name)}"]

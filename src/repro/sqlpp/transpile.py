@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import re
 
+from repro.backends.spark import view_name
 from repro.translate import outside_literals, replace_call
 
 _BARE_VALUE_RE = re.compile(r"SELECT\s+VALUE\s+(\w+)\s+FROM", re.IGNORECASE)
@@ -46,7 +47,7 @@ def transpile(query: str) -> str:
 
 def _translate(text: str) -> str:
     # datasets → flat temp-view names
-    text = _DATASET_RE.sub(r"FROM \1_\2\3", text)
+    text = _DATASET_RE.sub(lambda m: f"FROM {view_name(m[1], m[2])}{m[3]}", text)
     # bare-variable VALUE selects: whole-record passthrough
     text = _BARE_VALUE_RE.sub(r"SELECT \1.* FROM", text)
     # join record-pair select → nested structs (before generic VALUE pass)

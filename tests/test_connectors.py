@@ -192,6 +192,19 @@ class TestDuckDBInitialize:
         with pytest.raises(DatasetNotRegistered):
             conn.initialize('Q"ns', 'w"')
 
+    def test_describe_names_in_another_case(self, wdata):
+        # DuckDB binds names without regard to case, and so must the schema
+        from repro.backends.duck import DuckDBConnector
+
+        conn = DuckDBConnector()
+        data = wdata.head(6)
+        conn.register("Bench", "Wisc", data)
+        got = PolyFrame("bench", "wisc", conn).describe()
+        want = data.select_dtypes("number")
+        assert list(got.columns) == list(want.columns)
+        stats = [want.count(), want.mean(), want.std(), want.min(), want.max()]
+        assert got.to_numpy() == pytest.approx(pd.DataFrame(stats).to_numpy())
+
 
 class TestLoadPartitions:
     """pandas data is stored in as few partitions as its size needs: one

@@ -44,23 +44,21 @@ class TestScanAndId:
         out = run(engine, [{"$match": {}}])
         assert len(out) == len(data)
 
-    def test_id_injected_at_scan(self, engine):
-        out = run(engine, [{"$match": {}}])
-        assert "_id" in out.columns
-        assert out["_id"].is_unique
-
     def test_unknown_collection(self, engine):
         with pytest.raises(MongoEngineError, match="unknown collection"):
             engine.execute([], "nope")
 
-    def test_stored_id_is_replaced(self, engine):
-        # a collection with its own _id column: each document keeps one _id
+    def test_stored_id_is_returned_unchanged(self, engine):
+        # _id is data: a stored _id comes back as stored, and none is made up
         out = run(engine, [{"$match": {}}], "e")
-        assert list(out.columns) == ["a", "_id"]
-        assert out["_id"].is_unique
-        out = run(engine, [{"$sort": {"_id": -1}}, {"$project": {"a": 1}}], "e")
         assert list(out.columns) == ["_id", "a"]
-        assert out["a"].tolist() == [3, 2, 1]
+        assert out["_id"].tolist() == [7, 7, 8]
+        out = run(engine, [{"$sort": {"a": -1}}, {"$project": {"a": 1}}], "e")
+        assert list(out.columns) == ["_id", "a"]
+        assert out["_id"].tolist() == [8, 7, 7]
+        out = run(engine, [{"$sort": {"_id": 1}}, {"$project": {"_id": 1}}], "e")
+        assert out["_id"].tolist() == [7, 7, 8]
+        assert "_id" not in run(engine, [{"$match": {}}]).columns
 
 
 class TestMatch:
@@ -107,7 +105,7 @@ class TestMatch:
 
 class TestProject:
     def test_inclusion_keeps_id(self, engine):
-        out = run(engine, [{"$project": {"a": 1}}])
+        out = run(engine, [{"$project": {"a": 1}}], "e")
         assert set(out.columns) == {"_id", "a"}
 
     def test_exclusion_drops_listed(self, engine):

@@ -7,8 +7,10 @@ from __future__ import annotations
 
 import operator
 
+import duckdb
 import pandas as pd
 import pytest
+from pyspark.errors import AnalysisException
 
 from repro.bench.harness import BACKENDS, COLLECTION, NAMESPACE
 from repro.bench.recording import RecordingConnector
@@ -131,6 +133,20 @@ class TestComparisonsAndLogicals:
         got = pf[pf["num"] > 3].sort_values("num").head(5)
         want = pdf[pdf["num"] > 3].sort_values("num").head(5)
         assert got["num"].tolist() == want["num"].tolist()
+
+    @pytest.mark.parametrize("action", ["filter", "max", "sort"])
+    def test_id_is_not_made_up(self, backend, action):
+        # _id is data on Mongo too: a frame without one cannot read it
+        _, conn = backend
+        conn.register("NoId", "ab", pd.DataFrame({"a": range(6), "b": range(6)}))
+        pf = PolyFrame("NoId", "ab", conn)
+        with pytest.raises((AnalysisException, duckdb.Error)):
+            if action == "filter":
+                len(pf[pf["_id"] > 3])
+            elif action == "max":
+                pf["_id"].max()
+            else:
+                pf.sort_values("_id").head()
 
 
 #: ``string4`` cycles AAAA, HHHH, OOOO, VVVV padded with ``x``; lower case
