@@ -94,7 +94,9 @@ class SparkConnector(DBConnector):
     and translate in :meth:`preprocess` or :meth:`send_query`.
 
     Temp views belong to the session, so every Spark-backed connector on
-    one session shares the view of a ``namespace.collection``. The Mongo
+    one session shares the view of a ``namespace.collection``. A connector
+    refuses a dataset whose view name another of its datasets holds, but
+    cannot see the datasets of another connector. The Mongo
     subclass compiles from :attr:`columns`: a view replaced by other code
     with a different schema must be registered again on it.
     """
@@ -104,29 +106,37 @@ class SparkConnector(DBConnector):
     def __init__(self, spark: SparkSession, rules: RewriteRules | None = None):
         super().__init__(rules)
         self.spark = spark
-        #: temp-view name -> its columns when this connector registered (or
-        #: first initialized) it; the Mongo compiler reads them, so turning
+        #: (namespace, collection) -> its columns when this connector registered
+        #: (or first initialized) it; the Mongo compiler reads them, so turning
         #: a pipeline into Spark SQL text makes no Spark call, and the Cypher
         #: compiler reads the keys to reject an unknown label
-        self.columns: dict[str, list[str]] = {}
+        self.columns: dict[tuple[str, str], list[str]] = {}
 
     def register(
         self, namespace: str, collection: str, data: SparkDataFrame | pd.DataFrame
     ) -> None:
         """Expose a Spark (or pandas) DataFrame as a PolyFrame dataset."""
-        view = view_name(namespace, collection)
+        view = self._own_view(namespace, collection)
         df = load_dataframe(self.spark, data)
         df.createOrReplaceTempView(view)
-        self.columns[view] = df.columns
+        self.columns[namespace, collection] = df.columns
 
     def initialize(self, namespace: str, collection: str) -> None:
-        view = view_name(namespace, collection)
-        if view in self.columns:
+        if (namespace, collection) in self.columns:
             return
+        view = self._own_view(namespace, collection)
         if not self.spark.catalog.tableExists(view):
             raise DatasetNotRegistered(f"{namespace}.{collection}")
         # a view created in Spark directly: its columns are captured now
-        self.columns[view] = self.spark.table(view).columns
+        self.columns[namespace, collection] = self.spark.table(view).columns
+
+    def _own_view(self, namespace: str, collection: str) -> str:
+        """The temp view of ``namespace.collection``, unless another dataset
+        of this connector holds that name: then ``ValueError``."""
+        view = view_name(namespace, collection)
+        if any(view_name(*k) == view for k in self.columns if k != (namespace, collection)):
+            raise ValueError(f"{namespace}.{collection}: another dataset holds view {view!r}")
+        return view
 
     def send_query(self, query: str, namespace: str, collection: str) -> pd.DataFrame:
         return self.spark.sql(query).toPandas()

@@ -177,6 +177,8 @@ class RewriteRules:
             return self.get("null_literal") if self.has("null_literal") else "NULL"
         if isinstance(value, bool):
             return "true" if value else "false"
+        if isinstance(value, float) and "e" not in repr(value):
+            return f"{value!r}E0"  # a double in every language; Spark reads 2.5 as DECIMAL
         if isinstance(value, (int, float)):
             return repr(value)
         if isinstance(value, str):

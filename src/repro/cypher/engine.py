@@ -82,12 +82,11 @@ class CypherEngine:
     """Compiles PolyFrame's linear Cypher over registered labels to Spark
     SQL and runs each query with one ``spark.sql`` call.
 
-    ``columns`` maps each registered temp view (``view_name(namespace,
-    label)``) to its column names; only its keys are read, to reject an
-    unknown label.
+    ``columns`` maps each registered ``(namespace, label)`` to its column
+    names; only its keys are read, to reject an unknown label.
     """
 
-    def __init__(self, spark: SparkSession, columns: dict[str, list[str]]):
+    def __init__(self, spark: SparkSession, columns: dict[tuple[str, str], list[str]]):
         self.columns = columns
         # Bound once: the engine's DataFrame is the action's only one, and a
         # wrapper later put on the session must not see its query again.
@@ -142,10 +141,9 @@ class CypherEngine:
         return src
 
     def _view(self, label: str, ns: str) -> str:
-        view = view_name(ns, label)
-        if view not in self.columns:
+        if (ns, label) not in self.columns:
             raise CypherEngineError(f"unknown label {label!r}")
-        return q(view)
+        return q(view_name(ns, label))
 
     # ------------------------------------------------------------------
     def _join(self, src: str, view: str, pred: str) -> str:

@@ -25,9 +25,13 @@ MongoDB. It exists only where MongoDB puts it: a collection's stored
 the collection as it is, so a frame has the same columns as on every other
 backend. PolyFrame's rules exclude ``_id`` before returning results,
 keeping it available mid-pipeline "because its presence in the pipeline
-enables index usage" (§III-D). BSON null-ordering is emulated only where
-the rules rely on it: a comparison against a ``null`` literal tests
-missingness (``$lt null`` ≡ IS NULL, ``$gte null`` ≡ IS NOT NULL).
+enables index usage" (§III-D).
+
+Expressions are written with ``sparksql.ini``'s rules: each operator is one
+rule key (``_RULES``) and each JSON scalar a ``RewriteRules.literal``, so
+operators and literals read as on the sparksql backend. A comparison with
+``null`` keeps its BSON meaning, null and missing sorting below every value,
+through ``is_missing`` (``$lt``, ``$lte``, ``$eq``) and ``not_missing``.
 
 Compiling makes no Spark call: column lists come from the schema captured
 when each collection was registered
@@ -35,24 +39,24 @@ when each collection was registered
 """
 from __future__ import annotations
 
+from functools import reduce
 from typing import Any
 
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.backends.spark import DEFAULT_NAMESPACE, view_name
-from repro.core.rewrite import load_language
+from repro.core.rewrite import load_language, required_variables
 from repro.translate import quote_ident as q
 
-_CMP_OPS = {"$eq": "=", "$ne": "<>", "$gt": ">", "$lt": "<", "$gte": ">=", "$lte": "<="}
-_ARITH_OPS = {"$add": "+", "$subtract": "-", "$multiply": "*", "$divide": "/", "$mod": "%"}
-_LOGIC_OPS = {"$and": " AND ", "$or": " OR "}
-_FUNCTIONS = {
-    "$toUpper": "upper({})",
-    "$toLower": "lower({})",
-    "$abs": "abs({})",
-    "$toInt": "CAST({} AS INT)",
-    "$toString": "CAST({} AS STRING)",
+#: Mongo expression operator -> the ``sparksql.ini`` rule that writes it
+_RULES = {
+    "$eq": "eq", "$ne": "ne", "$gt": "gt", "$lt": "lt", "$gte": "ge", "$lte": "le",
+    "$add": "add", "$subtract": "sub", "$multiply": "mul", "$divide": "div", "$mod": "mod",
+    "$and": "and", "$or": "or", "$not": "not", "$toUpper": "upper", "$toLower": "lower",
+    "$abs": "abs", "$toInt": "to_int", "$toString": "to_str",
 }
+_NULL_RULES = dict.fromkeys(("$lt", "$lte", "$eq"), "is_missing")
+_NULL_RULES |= dict.fromkeys(("$gt", "$gte", "$ne"), "not_missing")
 _ACCUMULATORS = {
     "$sum": "sum",
     "$min": "min",
@@ -97,26 +101,20 @@ def _stage(stage: Any) -> tuple[str, Any]:
     return name, spec
 
 
-def _unwind_spec(spec: dict | str) -> tuple[str, bool]:
-    if isinstance(spec, str):
-        return spec, False
-    return spec["path"], spec.get("preserveNullAndEmptyArrays", False)
-
-
 class MongoEngine:
     """Compiles aggregation pipelines over registered collections to Spark
     SQL and runs each with one ``spark.sql`` call.
 
-    ``columns`` maps each registered temp view (``view_name(namespace,
-    collection)``) to its column names.
+    ``columns`` maps each registered ``(namespace, collection)`` to its
+    column names.
     """
 
-    def __init__(self, spark: SparkSession, columns: dict[str, list[str]]):
+    def __init__(self, spark: SparkSession, columns: dict[tuple[str, str], list[str]]):
         self.columns = columns
         # Bound once: the engine's DataFrame is the action's only one, and a
         # wrapper later put on the session must not see its query again.
         self.sql = spark.sql
-        #: Spark SQL's string literal syntax, declared in ``sparksql.ini``
+        #: Spark SQL's expression and literal syntax, declared in ``sparksql.ini``
         self.spark_sql = load_language("sparksql")
 
     # ------------------------------------------------------------------
@@ -145,59 +143,45 @@ class MongoEngine:
         return query
 
     def _scan(self, collection: str, ns: str) -> SqlQuery:
-        view = view_name(ns, collection)
-        if view not in self.columns:
+        if (ns, collection) not in self.columns:
             raise MongoEngineError(f"unknown collection {collection!r}")
-        return SqlQuery(f"SELECT * FROM {q(view)}", list(self.columns[view]))
+        view = q(view_name(ns, collection))
+        return SqlQuery(f"SELECT * FROM {view}", list(self.columns[ns, collection]))
 
     # ------------------------------------------------------------------
     # expressions -> Spark SQL
     # ------------------------------------------------------------------
     def _expr(self, e: Any, env: dict[str, str] | None = None) -> str:
-        if isinstance(e, str):
-            if e.startswith("$$"):
-                if env is None or e[2:] not in env:
-                    raise MongoEngineError(f"unbound let-variable {e!r}")
-                return env[e[2:]]
-            if e.startswith("$"):
-                return ".".join(q(part) for part in e[1:].split("."))
-            return self.spark_sql.literal(e)
         if isinstance(e, dict):
             if len(e) != 1:
                 raise MongoEngineError(f"expected single-operator expression: {e!r}")
             ((op, arg),) = e.items()
             return self._operator(op, arg, env)
-        if e is None:
-            return "NULL"
-        if isinstance(e, bool):
-            return "true" if e else "false"
-        if isinstance(e, float):
-            return f"{e!r}D"
-        return str(e)
+        if isinstance(e, str) and e.startswith("$$"):
+            if env is None or e[2:] not in env:
+                raise MongoEngineError(f"unbound let-variable {e!r}")
+            return env[e[2:]]
+        if isinstance(e, str) and e.startswith("$"):
+            return ".".join(q(part) for part in e[1:].split("."))
+        return self.spark_sql.literal(e)
 
     def _operator(self, op: str, arg: Any, env) -> str:
-        if op in _CMP_OPS:
-            left_raw, right_raw = arg
-            left = self._expr(left_raw, env)
-            if right_raw is None:
-                # BSON-order emulation: null/missing compare below values.
-                if op in ("$lt", "$lte", "$eq"):
-                    return f"({left} IS NULL)"
-                return f"({left} IS NOT NULL)"
-            return f"({left} {_CMP_OPS[op]} {self._expr(right_raw, env)})"
-        if op in _ARITH_OPS:
-            left, right = (self._expr(a, env) for a in arg)
-            return f"({left} {_ARITH_OPS[op]} {right})"
-        if op in _LOGIC_OPS:
-            return "(" + _LOGIC_OPS[op].join(self._expr(a, env) for a in arg) + ")"
-        if op == "$not":
-            (a,) = arg if isinstance(arg, list) else [arg]
-            return f"(NOT {self._expr(a, env)})"
-        if op in _FUNCTIONS:
-            return _FUNCTIONS[op].format(self._expr(arg, env))
+        # one node: its sparksql.ini rule in one pair of parentheses, so it
+        # stays one operand of the node around it
         if op == "$literal" and isinstance(arg, str):
             return self.spark_sql.literal(arg)
-        raise MongoEngineError(f"unsupported operator {op!r}")
+        if op not in _RULES:
+            raise MongoEngineError(f"unsupported operator {op!r}")
+        rule, args = _RULES[op], arg if isinstance(arg, list) else [arg]
+        if op in _NULL_RULES and len(args) == 2 and args[1] is None:
+            rule, args = _NULL_RULES[op], args[:1]
+        sql = [self._expr(a, env) for a in args]
+        if rule in ("and", "or") and sql:
+            return f"({reduce(lambda x, y: self.spark_sql.apply(rule, left=x, right=y), sql)})"
+        arity = 2 if "right" in required_variables(self.spark_sql.get(rule)) else 1
+        if len(sql) != arity:
+            raise MongoEngineError(f"{op} takes {arity} operand(s): {arg!r}")
+        return f"({self.spark_sql.apply(rule, left=sql[0], right=sql[-1], statement=sql[0])})"
 
     # ------------------------------------------------------------------
     # stages
@@ -215,10 +199,10 @@ class MongoEngine:
             cols = [c for c in query.cols if c not in spec]
             return query.select([q(c) for c in cols], cols)
         items, cols = [], []
-        if spec.get("_id", 1) != 0 and "_id" in query.cols:
+        if "_id" not in spec and "_id" in query.cols:
             items, cols = [q("_id")], ["_id"]  # MongoDB keeps _id unless excluded
         for key, value in spec.items():
-            if key == "_id":
+            if key == "_id" and value == 0:
                 continue
             if value == 1:
                 items.append(q(key))
@@ -289,8 +273,8 @@ class MongoEngine:
         if on is None:
             raise MongoEngineError("$lookup requires one correlated $match $expr $eq stage")
         name, uspec = unwind
-        path, preserve = _unwind_spec(uspec) if name == "$unwind" else (None, False)
-        if path != "$" + as_name:
+        uspec = {"path": uspec} if isinstance(uspec, str) else uspec
+        if name != "$unwind" or uspec.get("path") != "$" + as_name:
             raise MongoEngineError(f"$lookup must be followed by an $unwind of '${as_name}'")
         right = self._pipeline(stages, spec["from"], ns)
         field, var = on
@@ -298,7 +282,7 @@ class MongoEngine:
         items = [q(c) for c in cols[:-1]] + [f"`__doc` AS {q(as_name)}"]
         return SqlQuery(
             f"SELECT {', '.join(items)} FROM ({left.sql}) AS l "
-            f"{'LEFT' if preserve else 'INNER'} JOIN "
+            f"{'LEFT' if uspec.get('preserveNullAndEmptyArrays') else 'INNER'} JOIN "
             f"(SELECT struct(*) AS `__doc` FROM ({right.sql})) AS r "
             f"ON {var} = `__doc`.{q(field)}",
             cols,
@@ -306,7 +290,7 @@ class MongoEngine:
 
     def _correlation(self, expr: dict, env: dict) -> tuple[str, str] | None:
         """Detect ``{"$eq": ["$field", "$$var"]}`` (either operand order)."""
-        if set(expr) != {"$eq"}:
+        if set(expr) != {"$eq"} or len(expr["$eq"]) != 2:
             return None
         a, b = expr["$eq"]
         for field, var in ((a, b), (b, a)):

@@ -108,6 +108,16 @@ class TestNamespaceIsolation:
             conn.register("A", "w", wdata.head(9))
             assert len(PolyFrame("A", "w", conn)) == 9, conn.language
 
+    def test_names_joining_to_one_view_are_refused(self, spark):
+        # A_B.c and A.B_c both map to the temp view A_B_c
+        for conn in spark_backed(spark):
+            conn.register("A_B", "c", pd.DataFrame({"x": range(3)}))
+            with pytest.raises(ValueError, match="A_B_c"):
+                conn.register("A", "B_c", pd.DataFrame({"x": range(5)}))
+            assert len(PolyFrame("A_B", "c", conn)) == 3, conn.language
+            with pytest.raises(ValueError, match="A_B_c"):
+                conn.initialize("A", "B_c")
+
 
 class TestSparkInputs:
     def test_register_accepts_spark_dataframe(self, spark, wdata):

@@ -98,6 +98,37 @@ class TestMatch:
         out = run(engine, [{"$match": {"$expr": {"$gte": ["$b", None]}}}])
         assert sorted(out["a"]) == [1, 3, 5]
 
+    @pytest.mark.parametrize("op", ["$eq", "$ne", "$gt", "$lte"])
+    def test_other_null_comparisons(self, engine, data, op):
+        # BSON order: null and missing sort below every value ($lt and $gte
+        # are the two tests above)
+        out = run(engine, [{"$match": {"$expr": {op: ["$b", None]}}}])
+        keep = data["b"].isna() if op in ("$eq", "$lte") else data["b"].notna()
+        assert sorted(out["a"]) == data["a"][keep].tolist()
+
+    @pytest.mark.parametrize(
+        "op,operands,mask",
+        [
+            (
+                "$and",
+                [{"$lt": ["$a", 5]}, {"$gte": ["$b", None]}, {"$ne": ["$s", "x"]}],
+                lambda d: (d["a"] < 5) & d["b"].notna() & (d["s"] != "x"),
+            ),
+            (
+                "$or",
+                [{"$eq": ["$a", 1]}, {"$eq": ["$s", "z"]}, {"$eq": ["$a", 5]}],
+                lambda d: (d["a"] == 1) | (d["s"] == "z") | (d["a"] == 5),
+            ),
+        ],
+    )
+    def test_three_operands(self, engine, data, op, operands, mask):
+        out = run(engine, [{"$match": {"$expr": {op: operands}}}])
+        assert sorted(out["a"]) == data["a"][mask(data)].tolist()
+
+    def test_float_literal(self, engine, data):
+        out = run(engine, [{"$match": {"$expr": {"$gt": ["$b", 25.5]}}}])
+        assert sorted(out["a"]) == data["a"][data["b"] > 25.5].tolist()
+
     def test_non_expr_match_rejected(self, engine):
         with pytest.raises(MongoEngineError):
             run(engine, [{"$match": {"s": "x"}}])
@@ -168,6 +199,20 @@ class TestArithmeticAndConversions:
     def test_to_string(self, engine):
         out = run(engine, [{"$project": {"v": {"$toString": "$a"}, "_id": 0}}])
         assert set(out["v"]) == {"1", "2", "3", "4", "5"}
+
+    def test_to_lower(self, engine, data):
+        expr = {"$toLower": {"$toUpper": "$s"}}
+        out = run(engine, [{"$project": {"v": expr, "_id": 0}}])
+        assert out["v"].tolist() == data["s"].str.upper().str.lower().tolist()
+
+    def test_abs(self, engine, data):
+        out = run(engine, [{"$project": {"v": {"$abs": {"$subtract": [3, "$a"]}}, "_id": 0}}])
+        assert out["v"].tolist() == (3 - data["a"]).abs().tolist()
+
+    def test_float_literal_is_a_double(self, engine, data):
+        out = run(engine, [{"$project": {"v": {"$multiply": ["$a", 1.5]}, "_id": 0}}])
+        assert out["v"].dtype == "float64"
+        assert out["v"].tolist() == (data["a"] * 1.5).tolist()
 
 
 class TestGroup:
@@ -277,6 +322,21 @@ class TestErrors:
     def test_unsupported_operator(self, engine):
         with pytest.raises(MongoEngineError, match="unsupported operator"):
             run(engine, [{"$match": {"$expr": {"$regexMatch": ["$s", "x"]}}}])
+
+    @pytest.mark.parametrize(
+        "expr",
+        [
+            {"$gt": ["$a", 1, 2]},
+            {"$eq": ["$a"]},
+            {"$ne": "$a"},
+            {"$add": ["$a", 1, 2]},
+            {"$mod": ["$a"]},
+            {"$and": []},
+        ],
+    )
+    def test_wrong_operand_count(self, engine, expr):
+        with pytest.raises(MongoEngineError, match="operand"):
+            engine.compile([{"$match": {"$expr": expr}}], "c")
 
     def test_unbound_let_variable(self, engine):
         with pytest.raises(MongoEngineError, match="unbound"):

@@ -140,13 +140,31 @@ class TestComparisonsAndLogicals:
         _, conn = backend
         conn.register("NoId", "ab", pd.DataFrame({"a": range(6), "b": range(6)}))
         pf = PolyFrame("NoId", "ab", conn)
-        with pytest.raises((AnalysisException, duckdb.Error)):
+        with pytest.raises((AnalysisException, duckdb.Error)) as raised:
             if action == "filter":
                 len(pf[pf["_id"] > 3])
             elif action == "max":
                 pf["_id"].max()
             else:
                 pf.sort_values("_id").head()
+        # a ParseException is an AnalysisException too: the column must be
+        # unresolved, not the query malformed
+        if isinstance(raised.value, AnalysisException):
+            assert raised.value.getCondition().startswith("UNRESOLVED_COLUMN")
+
+    def test_float_literals_are_doubles(self, backend):
+        # Spark SQL reads a plain 2.5 as a DECIMAL; every backend must
+        # compute in doubles, as pandas does
+        _, conn = backend
+        pdf = pd.DataFrame({"a": [1, 2, 3, 4, 5], "b": [0.5, 1.25, 2.5, 3.0, 7.75]})
+        conn.register("Flt", "ab", pdf)
+        pf = PolyFrame("Flt", "ab", conn)
+        got = (pf["a"] * 1.5).head()
+        assert got.iloc[:, 0].dtype == "float64"
+        assert got.iloc[:, 0].tolist() == (pdf["a"] * 1.5).head().tolist()
+        assert len(pf[pf["b"] > 1.2]) == int((pdf["b"] > 1.2).sum())
+        top = (pf["a"] * 0.1).max()
+        assert isinstance(top, float) and top == (pdf["a"] * 0.1).max()
 
 
 #: ``string4`` cycles AAAA, HHHH, OOOO, VVVV padded with ``x``; lower case

@@ -224,7 +224,7 @@ class TestLiterals:
     def test_numbers(self):
         rules = load_language("sql")
         assert rules.literal(5) == "5"
-        assert rules.literal(2.5) == "2.5"
+        assert rules.literal(2.5) == "2.5E0"
 
     def test_null(self):
         assert load_language("sql").literal(None) == "NULL"
