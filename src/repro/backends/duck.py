@@ -50,13 +50,13 @@ class DuckDBConnector(DBConnector):
         Binding resolves tables and views alike, and matches names without
         regard to case, as every query on them does."""
         table = f"{_quoted(namespace)}.{_quoted(collection)}"
-        return self.con.sql(f"SELECT * FROM {table} LIMIT 0")
-
-    def initialize(self, namespace: str, collection: str) -> None:
         try:
-            self._bound(namespace, collection)
+            return self.con.sql(f"SELECT * FROM {table} LIMIT 0")
         except duckdb.CatalogException:
             raise DatasetNotRegistered(f"{namespace}.{collection}") from None
+
+    def initialize(self, namespace: str, collection: str) -> None:
+        self._bound(namespace, collection)
 
     def send_query(self, query: str, namespace: str, collection: str) -> pd.DataFrame:
         return self.con.execute(query).fetchdf()

@@ -10,9 +10,13 @@ call, then ``toPandas``.
 * :class:`CypherConnector` — linear Cypher → compiled to Spark SQL
 
 All three subclass :class:`~repro.backends.spark.SparkConnector`, so they
-share its registration (one temp view per ``namespace.collection``),
-initialization and schema introspection; a Mongo ``$lookup.from`` or a
-Cypher label resolves in the namespace of the action.
+share its registration (one temp view per ``namespace.collection``, held in
+the session's registry), initialization and schema introspection. The
+Mongo and Cypher engines are built from their connector and ask it through
+the same contract: ``initialize`` rejects an unknown collection or label,
+and ``get_columns`` gives Mongo a collection's columns as they are now. A
+Mongo ``$lookup.from`` or a Cypher label resolves in the namespace of the
+action.
 """
 from __future__ import annotations
 
@@ -47,7 +51,7 @@ class MongoConnector(SparkConnector):
 
     def __init__(self, spark: SparkSession, rules: RewriteRules | None = None):
         super().__init__(spark, rules)
-        self.engine = MongoEngine(spark, self.columns)
+        self.engine = MongoEngine(self)
 
     def preprocess(self, query: str, namespace: str, collection: str) -> str:
         return f"[ {query} ]"
@@ -68,7 +72,7 @@ class CypherConnector(SparkConnector):
 
     def __init__(self, spark: SparkSession, rules: RewriteRules | None = None):
         super().__init__(spark, rules)
-        self.engine = CypherEngine(spark, self.columns)
+        self.engine = CypherEngine(self)
 
     def send_query(self, query: str, namespace: str, collection: str) -> pd.DataFrame:
         return self.engine.execute(query, namespace).toPandas()

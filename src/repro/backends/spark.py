@@ -6,8 +6,10 @@ temp view ``{namespace}_{collection}`` (Spark temp views live in a flat
 namespace), which is exactly the name the ``sparksql.ini`` q1 rule forms.
 :class:`SparkConnector` is the base of every Spark-backed connector (see
 ``repro.backends.engines``): they share its registration, initialization
-and schema introspection, and each runs an action as one ``spark.sql``
-call on Spark SQL text.
+and schema introspection, and one registry per session of the dataset
+that holds each temp view; each runs an action as one ``spark.sql`` call
+on Spark SQL text. The session's catalog is the only store of a view's
+schema.
 
 Catalyst supplies the "efficient query optimizer" the paper requires of
 every PolyFrame backend: the deeply nested subqueries produced by
@@ -24,10 +26,13 @@ the driver on every action.
 """
 from __future__ import annotations
 
+import json
 import math
+import weakref
 
 import pandas as pd
 from pyspark.sql import DataFrame as SparkDataFrame, SparkSession
+from pyspark.sql.types import StructType
 
 from repro.core.connector import DatasetNotRegistered, DBConnector
 from repro.core.rewrite import RewriteRules
@@ -85,6 +90,13 @@ def view_name(namespace: str, collection: str) -> str:
     return f"{namespace}_{collection}"
 
 
+#: SparkSession -> its dataset registry: each temp view's name in lower case,
+#: the key Spark's catalog matches it by, -> the (namespace, collection) that
+#: holds the view. Temp views belong to the session, so every Spark-backed
+#: connector on it shares its registry.
+_REGISTRIES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 class SparkConnector(DBConnector):
     """Executes PolyFrame's generated Spark SQL via ``spark.sql``.
 
@@ -93,12 +105,15 @@ class SparkConnector(DBConnector):
     collection)``. Subclasses for other languages set :attr:`language`
     and translate in :meth:`preprocess` or :meth:`send_query`.
 
-    Temp views belong to the session, so every Spark-backed connector on
-    one session shares the view of a ``namespace.collection``. A connector
-    refuses a dataset whose view name another of its datasets holds, but
-    cannot see the datasets of another connector. The Mongo
-    subclass compiles from :attr:`columns`: a view replaced by other code
-    with a different schema must be registered again on it.
+    Temp views belong to the session, and so does the registry of which
+    dataset holds each view: :meth:`register` and the first successful
+    :meth:`initialize` of a dataset write it, and every connector on the
+    session raises ``ValueError`` for a dataset whose view another dataset
+    holds. Spark matches temp-view names without regard to case (under its
+    default ``spark.sql.caseSensitive=false``), and so does the registry:
+    ``A.w`` and ``a.W`` are one dataset, ``A_B.c`` and ``a.B_c`` collide.
+    The registry keeps no schema: :meth:`get_columns` reads the view as it
+    is now from the session's catalog.
     """
 
     language = "sparksql"
@@ -106,40 +121,41 @@ class SparkConnector(DBConnector):
     def __init__(self, spark: SparkSession, rules: RewriteRules | None = None):
         super().__init__(rules)
         self.spark = spark
-        #: (namespace, collection) -> its columns when this connector registered
-        #: (or first initialized) it; the Mongo compiler reads them, so turning
-        #: a pipeline into Spark SQL text makes no Spark call, and the Cypher
-        #: compiler reads the keys to reject an unknown label
-        self.columns: dict[tuple[str, str], list[str]] = {}
+        self._holders: dict[str, tuple[str, str]] = _REGISTRIES.setdefault(spark, {})
+        self._catalog = spark._jsparkSession.sessionState().catalog()
 
     def register(
         self, namespace: str, collection: str, data: SparkDataFrame | pd.DataFrame
     ) -> None:
         """Expose a Spark (or pandas) DataFrame as a PolyFrame dataset."""
-        view = self._own_view(namespace, collection)
-        df = load_dataframe(self.spark, data)
-        df.createOrReplaceTempView(view)
-        self.columns[namespace, collection] = df.columns
+        view = self._view(namespace, collection)
+        load_dataframe(self.spark, data).createOrReplaceTempView(view)
+        self._holders[view.lower()] = (namespace, collection)
 
     def initialize(self, namespace: str, collection: str) -> None:
-        if (namespace, collection) in self.columns:
-            return
-        view = self._own_view(namespace, collection)
-        if not self.spark.catalog.tableExists(view):
-            raise DatasetNotRegistered(f"{namespace}.{collection}")
-        # a view created in Spark directly: its columns are captured now
-        self.columns[namespace, collection] = self.spark.table(view).columns
+        view = self._view(namespace, collection)
+        if view.lower() not in self._holders:  # a held dataset needs no catalog read
+            if not self._catalog.getTempView(view).isDefined():
+                raise DatasetNotRegistered(f"{namespace}.{collection}")
+            self._holders[view.lower()] = (namespace, collection)  # made in Spark directly
 
-    def _own_view(self, namespace: str, collection: str) -> str:
-        """The temp view of ``namespace.collection``, unless another dataset
-        of this connector holds that name: then ``ValueError``."""
+    def _view(self, namespace: str, collection: str) -> str:
+        """The temp view of ``namespace.collection``, unless the registry
+        gives it to another dataset: then ``ValueError``."""
         view = view_name(namespace, collection)
-        if any(view_name(*k) == view for k in self.columns if k != (namespace, collection)):
-            raise ValueError(f"{namespace}.{collection}: another dataset holds view {view!r}")
+        holder = self._holders.get(view.lower(), (namespace, collection))
+        # the two views match, so the datasets do when their namespaces do
+        if holder[0].lower() != namespace.lower():
+            raise ValueError(f"{namespace}.{collection}: {'.'.join(holder)} holds view {view!r}")
         return view
 
     def send_query(self, query: str, namespace: str, collection: str) -> pd.DataFrame:
         return self.spark.sql(query).toPandas()
 
     def get_columns(self, namespace: str, collection: str) -> list[tuple[str, str]]:
-        return self.spark.table(view_name(namespace, collection)).dtypes
+        """The view's columns as they are now, from one catalog read."""
+        view = self._catalog.getTempView(self._view(namespace, collection))
+        if not view.isDefined():
+            raise DatasetNotRegistered(f"{namespace}.{collection}")
+        schema = StructType.fromJson(json.loads(view.get().schema().json()))
+        return [(f.name, f.dataType.simpleString()) for f in schema.fields]

@@ -67,17 +67,16 @@ def local_spark() -> SparkSession:
 
 def make_connector(kind: str, spark: SparkSession) -> DBConnector:
     """Construct one of the five PolyFrame backends."""
-    factories: dict[str, Callable[[], DBConnector]] = {
-        "sparksql": lambda: SparkConnector(spark),
-        "sql": lambda: DuckDBConnector(),
-        "sqlpp": lambda: SqlPPConnector(spark),
-        "mongo": lambda: MongoConnector(spark),
-        "cypher": lambda: CypherConnector(spark),
+    connectors: dict[str, Callable[[SparkSession], DBConnector]] = {
+        "sparksql": SparkConnector,
+        "sql": lambda spark: DuckDBConnector(),
+        "sqlpp": SqlPPConnector,
+        "mongo": MongoConnector,
+        "cypher": CypherConnector,
     }
-    try:
-        return factories[kind]()
-    except KeyError:
-        raise ValueError(f"unknown backend {kind!r}; choose from {BACKENDS}") from None
+    if kind not in connectors:
+        raise ValueError(f"unknown backend {kind!r}; choose from {BACKENDS}")
+    return connectors[kind](spark)
 
 
 @dataclass
@@ -174,9 +173,7 @@ def simulated_nodes(spark: SparkSession, nodes: int):
 
 
 def rows_to_frame(rows: list[TimingRow]) -> pd.DataFrame:
-    out = pd.DataFrame([asdict(r) for r in rows])
-    out["total_s"] = out["creation_s"] + out["expression_s"]
-    return out
+    return pd.DataFrame([{**asdict(r), "total_s": r.total_s} for r in rows])
 
 
 def format_table(rows: list[TimingRow], value: str = "total_s") -> str:

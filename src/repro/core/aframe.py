@@ -53,6 +53,9 @@ _MAP_RULES: dict[object, str] = {
     "abs": "abs",
 }
 
+#: ``astype`` targets -> rewrite-rule key
+_ASTYPE_RULES: dict[object, str] = {int: "to_int", str: "to_str", "int": "to_int", "str": "to_str"}
+
 #: ``other`` of a unary derivation (``None`` is the NULL literal)
 _UNARY = object()
 
@@ -78,6 +81,11 @@ def _native(value: object) -> object:
 def _operator(rule: str) -> Callable:
     """A column operator method: one derivation by rewrite rule ``rule``."""
     return lambda self, other: self._derive(rule, other)
+
+
+def _aggregate(func: str) -> Callable:
+    """A scalar aggregate method: the action ``agg(func)``."""
+    return lambda self: self.agg(func)
 
 
 class PolyFrame:
@@ -154,13 +162,11 @@ class PolyFrame:
     def _group_extras(self, attrs: list[str]) -> dict[str, str]:
         """grp_key / grp_restore variables for languages that define them
         (MongoDB's $group needs the keys packed into _id and restored)."""
-        extras: dict[str, str] = {}
-        for rule, var in (("grp_key", "grp_key"), ("grp_restore", "grp_restore")):
-            if self.rules.has(rule):
-                extras[var] = self.rules.join_items(
-                    [self.rules.apply(rule, attribute=a) for a in attrs]
-                )
-        return extras
+        return {
+            rule: self.rules.join_items([self.rules.apply(rule, attribute=a) for a in attrs])
+            for rule in ("grp_key", "grp_restore")
+            if self.rules.has(rule)
+        }
 
     def _agg_item(self, func: str, attribute: str) -> str:
         """One aliased aggregate output, e.g. ``MAX(t.four) AS max_four``."""
@@ -214,17 +220,10 @@ class PolyFrame:
     def sort_values(self, by: str, ascending: bool = True) -> "PolyFrame":
         if not isinstance(by, str):
             raise TypeError("sort_values supports a single attribute name")
-        if ascending:
-            attr = self.rules.apply("sort_asc_attr", attribute=by)
-            return self._frame(
-                self.rules.apply("q5", subquery=self.query, sort_asc_attr=attr),
-                self._columns,
-            )
-        attr = self.rules.apply("sort_desc_attr", attribute=by)
-        return self._frame(
-            self.rules.apply("q4", subquery=self.query, sort_desc_attr=attr),
-            self._columns,
-        )
+        # q5 sorts ascending by its $sort_asc_attr, q4 descending
+        rule, query = ("sort_asc_attr", "q5") if ascending else ("sort_desc_attr", "q4")
+        attr = {rule: self.rules.apply(rule, attribute=by)}
+        return self._frame(self.rules.apply(query, subquery=self.query, **attr), self._columns)
 
     def groupby(self, by: str | list[str]) -> "PolyFrameGroupBy":
         attrs = [by] if isinstance(by, str) else list(by)
@@ -401,9 +400,7 @@ class PolyFrameColumn(PolyFrame):
         return self._derive(rule, name=self.name)
 
     def astype(self, target: type | str) -> "PolyFrameColumn":
-        rule = {int: "to_int", str: "to_str", "int": "to_int", "str": "to_str"}.get(
-            target
-        )
+        rule = _ASTYPE_RULES.get(target)
         if rule is None:
             raise ValueError(f"unsupported astype target: {target!r}")
         return self._derive(rule, name=self.name)
@@ -416,20 +413,11 @@ class PolyFrameColumn(PolyFrame):
         result = self._execute(self._finalized(query))
         return _native(result.iloc[0, 0])
 
-    def max(self):
-        return self.agg("max")
-
-    def min(self):
-        return self.agg("min")
-
-    def mean(self):
-        return self.agg("avg")
-
-    def std(self):
-        return self.agg("std")
-
-    def count(self):
-        return self.agg("count")
+    max = _aggregate("max")
+    min = _aggregate("min")
+    mean = _aggregate("avg")
+    std = _aggregate("std")
+    count = _aggregate("count")
 
     # -- generic rule: one-hot encoding ----------------------------------
     def get_dummies(self) -> PolyFrame:

@@ -73,7 +73,9 @@ class DBConnector(ABC):
 
     # -- optional schema introspection (needed by describe/get_dummies) --
     def get_columns(self, namespace: str, collection: str) -> list[tuple[str, str]]:
-        """``[(column, dtype), ...]`` of a registered dataset."""
+        """``[(column, dtype), ...]`` of a registered dataset; raises
+        :class:`DatasetNotRegistered` for an unknown one, as
+        :meth:`initialize` does."""
         raise NotImplementedError(
             f"{type(self).__name__} does not support schema introspection"
         )

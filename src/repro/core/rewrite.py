@@ -17,6 +17,7 @@ paper §I contribution 4) via :meth:`RewriteRules.set`.
 from __future__ import annotations
 
 import configparser
+import math
 import re
 from pathlib import Path
 
@@ -177,6 +178,8 @@ class RewriteRules:
             return self.get("null_literal") if self.has("null_literal") else "NULL"
         if isinstance(value, bool):
             return "true" if value else "false"
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{value!r} has no literal: every backend would read it as a name")
         if isinstance(value, float) and "e" not in repr(value):
             return f"{value!r}E0"  # a double in every language; Spark reads 2.5 as DECIMAL
         if isinstance(value, (int, float)):

@@ -27,17 +27,20 @@ property ``t.x`` is the Spark SQL column ``t.x`` as written. Clauses:
 
 Leaf expressions keep their ``t.``/``r.`` references; only functions are
 translated (``stDevP``→``stddev_pop``, ``apoc.convert.toInteger``→``CAST``),
-never inside string literals. Compiling makes no Spark call and keeps no
-column list: Spark resolves ``t.x``, ``r.x`` and ``*`` against the views as
-they are when the query is analyzed.
+never inside string literals. Compiling keeps no column list: Spark
+resolves ``t.x``, ``r.x`` and ``*`` against the views as they are when the
+query is analyzed. Each label is checked by the ``initialize`` of the
+connector the engine serves, which reads the catalog only for a label the
+session's registry does not hold yet.
 """
 from __future__ import annotations
 
 import re
 
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import DataFrame
 
-from repro.backends.spark import DEFAULT_NAMESPACE, view_name
+from repro.backends.spark import DEFAULT_NAMESPACE, SparkConnector, view_name
+from repro.core.connector import DatasetNotRegistered
 from repro.translate import outside_literals, quote_ident as q, replace_call
 
 _AGG_HEAD_RE = re.compile(r"^\s*(min|max|avg|count|stddev_pop|sum)\s*\(", re.IGNORECASE)
@@ -79,18 +82,14 @@ def _to_sql(expr: str) -> str:
 
 
 class CypherEngine:
-    """Compiles PolyFrame's linear Cypher over registered labels to Spark
-    SQL and runs each query with one ``spark.sql`` call.
+    """Compiles PolyFrame's linear Cypher over the labels of ``connector``
+    to Spark SQL and runs each query with one ``spark.sql`` call."""
 
-    ``columns`` maps each registered ``(namespace, label)`` to its column
-    names; only its keys are read, to reject an unknown label.
-    """
-
-    def __init__(self, spark: SparkSession, columns: dict[tuple[str, str], list[str]]):
-        self.columns = columns
+    def __init__(self, connector: SparkConnector):
+        self.connector = connector
         # Bound once: the engine's DataFrame is the action's only one, and a
         # wrapper later put on the session must not see its query again.
-        self.sql = spark.sql
+        self.sql = connector.spark.sql
 
     # ------------------------------------------------------------------
     def execute(self, query: str, namespace: str = DEFAULT_NAMESPACE) -> DataFrame:
@@ -118,31 +117,30 @@ class CypherEngine:
                     if var != "r":
                         raise CypherEngineError("secondary variable must be 'r'")
                     pending_match = view
+            elif src is None:
+                raise CypherEngineError("query must start with MATCH")
             elif line.upper().startswith("WHERE "):
                 pred = line[6:]
                 if pending_match is not None:
                     src = self._join(src, pending_match, pred)
                     pending_match = None
                 else:
-                    src = f"(SELECT t.* FROM {self._need(src)} WHERE {_to_sql(pred)}) t"
+                    src = f"(SELECT t.* FROM {src} WHERE {_to_sql(pred)}) t"
             elif line.upper().startswith("WITH "):
-                src = f"({self._with(self._need(src), line[5:].strip())}) t"
+                src = f"({self._with(src, line[5:].strip())}) t"
             elif line.upper().startswith("RETURN "):
-                sql = self._return(self._need(src), line[7:].strip())
+                sql = self._return(src, line[7:].strip())
             else:
                 raise CypherEngineError(f"unsupported clause: {line!r}")
         if sql is None:
             raise CypherEngineError("query must end with RETURN")
         return sql
 
-    def _need(self, src: str | None) -> str:
-        if src is None:
-            raise CypherEngineError("query must start with MATCH")
-        return src
-
     def _view(self, label: str, ns: str) -> str:
-        if (ns, label) not in self.columns:
-            raise CypherEngineError(f"unknown label {label!r}")
+        try:
+            self.connector.initialize(ns, label)
+        except DatasetNotRegistered:
+            raise CypherEngineError(f"unknown label {label!r}") from None
         return q(view_name(ns, label))
 
     # ------------------------------------------------------------------

@@ -33,18 +33,20 @@ operators and literals read as on the sparksql backend. A comparison with
 ``null`` keeps its BSON meaning, null and missing sorting below every value,
 through ``is_missing`` (``$lt``, ``$lte``, ``$eq``) and ``not_missing``.
 
-Compiling makes no Spark call: column lists come from the schema captured
-when each collection was registered
-(:attr:`repro.backends.spark.SparkConnector.columns`).
+Compiling makes one catalog read per scanned collection: the engine asks
+the connector it serves, whose ``initialize`` rejects an unknown collection
+and whose ``get_columns`` gives the collection's columns as they are now, so
+a view replaced elsewhere is read with its new schema.
 """
 from __future__ import annotations
 
 from functools import reduce
 from typing import Any
 
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import DataFrame
 
-from repro.backends.spark import DEFAULT_NAMESPACE, view_name
+from repro.backends.spark import DEFAULT_NAMESPACE, SparkConnector, view_name
+from repro.core.connector import DatasetNotRegistered
 from repro.core.rewrite import load_language, required_variables
 from repro.translate import quote_ident as q
 
@@ -92,28 +94,30 @@ class MongoEngineError(ValueError):
     """The pipeline uses a construct outside the supported subset."""
 
 
+def _single(spec: Any, what: str) -> tuple[str, Any]:
+    """The one ``name: value`` pair of a stage, an operator node or an
+    accumulator."""
+    if not isinstance(spec, dict) or len(spec) != 1:
+        raise MongoEngineError(f"malformed {what}, not one operator: {spec!r}")
+    return next(iter(spec.items()))
+
+
 def _stage(stage: Any) -> tuple[str, Any]:
-    if not isinstance(stage, dict) or len(stage) != 1:
-        raise MongoEngineError(f"malformed stage: {stage!r}")
-    ((name, spec),) = stage.items()
+    name, spec = _single(stage, "stage")
     if name not in _STAGES:
         raise MongoEngineError(f"unsupported stage {name!r}")
     return name, spec
 
 
 class MongoEngine:
-    """Compiles aggregation pipelines over registered collections to Spark
-    SQL and runs each with one ``spark.sql`` call.
+    """Compiles aggregation pipelines over the collections of ``connector``
+    to Spark SQL and runs each with one ``spark.sql`` call."""
 
-    ``columns`` maps each registered ``(namespace, collection)`` to its
-    column names.
-    """
-
-    def __init__(self, spark: SparkSession, columns: dict[tuple[str, str], list[str]]):
-        self.columns = columns
+    def __init__(self, connector: SparkConnector):
+        self.connector = connector
         # Bound once: the engine's DataFrame is the action's only one, and a
         # wrapper later put on the session must not see its query again.
-        self.sql = spark.sql
+        self.sql = connector.spark.sql
         #: Spark SQL's expression and literal syntax, declared in ``sparksql.ini``
         self.spark_sql = load_language("sparksql")
 
@@ -143,27 +147,29 @@ class MongoEngine:
         return query
 
     def _scan(self, collection: str, ns: str) -> SqlQuery:
-        if (ns, collection) not in self.columns:
-            raise MongoEngineError(f"unknown collection {collection!r}")
-        view = q(view_name(ns, collection))
-        return SqlQuery(f"SELECT * FROM {view}", list(self.columns[ns, collection]))
+        try:
+            self.connector.initialize(ns, collection)
+        except DatasetNotRegistered:
+            raise MongoEngineError(f"unknown collection {collection!r}") from None
+        cols = [c for c, _ in self.connector.get_columns(ns, collection)]
+        return SqlQuery(f"SELECT * FROM {q(view_name(ns, collection))}", cols)
 
     # ------------------------------------------------------------------
     # expressions -> Spark SQL
     # ------------------------------------------------------------------
     def _expr(self, e: Any, env: dict[str, str] | None = None) -> str:
         if isinstance(e, dict):
-            if len(e) != 1:
-                raise MongoEngineError(f"expected single-operator expression: {e!r}")
-            ((op, arg),) = e.items()
-            return self._operator(op, arg, env)
+            return self._operator(*_single(e, "expression"), env)
         if isinstance(e, str) and e.startswith("$$"):
             if env is None or e[2:] not in env:
                 raise MongoEngineError(f"unbound let-variable {e!r}")
             return env[e[2:]]
         if isinstance(e, str) and e.startswith("$"):
             return ".".join(q(part) for part in e[1:].split("."))
-        return self.spark_sql.literal(e)
+        try:
+            return self.spark_sql.literal(e)
+        except (TypeError, ValueError) as exc:  # an array, a non-finite double
+            raise MongoEngineError(f"unsupported operand {e!r}: {exc}") from None
 
     def _operator(self, op: str, arg: Any, env) -> str:
         # one node: its sparksql.ini rule in one pair of parentheses, so it
@@ -238,7 +244,7 @@ class MongoEngine:
         return query.select(items + aggs, ["_id", *[k for k in spec if k != "_id"]], tail)
 
     def _accumulator(self, spec: dict) -> str:
-        ((op, arg),) = spec.items()
+        op, arg = _single(spec, "accumulator")
         if op not in _ACCUMULATORS:
             raise MongoEngineError(f"unsupported accumulator {op!r}")
         return f"{_ACCUMULATORS[op]}({self._expr(arg)})"

@@ -118,6 +118,39 @@ class TestNamespaceIsolation:
             with pytest.raises(ValueError, match="A_B_c"):
                 conn.initialize("A", "B_c")
 
+    def test_names_joining_to_one_view_in_another_case_are_refused(self, spark):
+        # Spark matches temp-view names without regard to case, so Ci_B.c
+        # and ci.B_c would read one view
+        for conn in spark_backed(spark):
+            conn.register("Ci_B", "c", pd.DataFrame({"x": range(3)}))
+            with pytest.raises(ValueError, match="holds view"):
+                conn.register("ci", "B_c", pd.DataFrame({"x": range(5)}))
+            assert len(PolyFrame("Ci_B", "c", conn)) == 3, conn.language
+            with pytest.raises(ValueError, match="holds view"):
+                conn.initialize("ci", "B_c")
+
+    def test_one_name_in_two_cases_is_one_dataset(self, spark, wdata):
+        # Cs.w and cs.W are one dataset to Spark and to DuckDB alike
+        from repro.backends.duck import DuckDBConnector
+
+        for conn in (DuckDBConnector(), *spark_backed(spark)):
+            conn.register("Cs", "w", wdata.head(4))
+            conn.register("cs", "W", wdata.head(6))
+            assert len(PolyFrame("Cs", "w", conn)) == 6, conn.language
+            assert len(PolyFrame("cs", "W", conn)) == 6, conn.language
+
+    def test_collision_across_connectors_is_refused(self, spark):
+        # the registry belongs to the session: a dataset registered through
+        # one connector holds its view for every other connector
+        first, *others = spark_backed(spark)
+        first.register("X_Y", "z", pd.DataFrame({"x": range(3)}))
+        for conn in others:
+            with pytest.raises(ValueError, match="X_Y_z"):
+                conn.register("X", "Y_z", pd.DataFrame({"x": range(5)}))
+            with pytest.raises(ValueError, match="X_Y_z"):
+                conn.initialize("X", "Y_z")
+            assert len(PolyFrame("X_Y", "z", conn)) == 3, conn.language
+
 
 class TestSparkInputs:
     def test_register_accepts_spark_dataframe(self, spark, wdata):
@@ -134,14 +167,12 @@ class TestSparkInputs:
             assert len(PolyFrame("V", "w", conn)) == 12, conn.language
 
     def test_replaced_view_is_read_as_it_is_now(self, spark):
-        # mongo is left out: its compiler reads the columns captured at
-        # registration (DESIGN.md §2)
-        from repro.backends.engines import CypherConnector, SqlPPConnector
+        from repro.backends.engines import CypherConnector, MongoConnector, SqlPPConnector
         from repro.backends.spark import SparkConnector
 
         old = pd.DataFrame({"a": [1, 2, 3], "b": [4, 5, 6]})
         new = pd.DataFrame({"a": [1, 2, 3], "c": [7, 9, 8], "b": [4, 5, 6]})
-        for kind in (SparkConnector, SqlPPConnector, CypherConnector):
+        for kind in (SparkConnector, SqlPPConnector, MongoConnector, CypherConnector):
             conn = kind(spark)
             conn.register("R", "w", old)
             SparkConnector(spark).register("R", "w", new)
@@ -174,6 +205,14 @@ class TestSparkInputs:
         pf[pf["ten"] == 3][["unique1"]].head(2)
         plan = sent[-1]._jdf.queryExecution().optimizedPlan().toString()
         assert "LocalRelation" not in plan
+
+
+class TestUnknownDataset:
+    def test_get_columns_raises_dataset_not_registered(self, backend):
+        # the typed error of initialize, not the backend's own
+        _, conn = backend
+        with pytest.raises(DatasetNotRegistered):
+            conn.get_columns("Nope", "missing")
 
 
 class TestDuckDBInitialize:

@@ -29,7 +29,7 @@ def engine(spark, data) -> CypherEngine:
     conn = SparkConnector(spark)
     conn.register(NS, "nodes", spark.createDataFrame(data))
     conn.register(NS, "other", spark.createDataFrame(other))
-    return CypherEngine(spark, conn.columns)
+    return CypherEngine(conn)
 
 
 def run(engine, query: str) -> pd.DataFrame:

@@ -32,7 +32,7 @@ def engine(spark, data) -> MongoEngine:
     conn.register(NS, "c", spark.createDataFrame(data))
     conn.register(NS, "d", spark.createDataFrame(other))
     conn.register(NS, "e", spark.createDataFrame(stored_id))
-    return MongoEngine(spark, conn.columns)
+    return MongoEngine(conn)
 
 
 def run(engine, pipeline, collection="c") -> pd.DataFrame:
@@ -341,3 +341,13 @@ class TestErrors:
     def test_unbound_let_variable(self, engine):
         with pytest.raises(MongoEngineError, match="unbound"):
             run(engine, [{"$match": {"$expr": {"$eq": ["$a", "$$nope"]}}}])
+
+    def test_array_operand(self, engine):
+        # an array is no operand of this subset, not an unformattable literal
+        with pytest.raises(MongoEngineError, match="operand"):
+            engine.compile([{"$match": {"$expr": {"$gt": [[1], 2]}}}], "c")
+
+    def test_accumulator_with_two_operators(self, engine):
+        spec = {"_id": {}, "m": {"$max": "$a", "$min": "$a"}}
+        with pytest.raises(MongoEngineError, match="malformed accumulator"):
+            engine.compile([{"$group": spec}], "c")

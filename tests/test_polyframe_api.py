@@ -166,6 +166,14 @@ class TestComparisonsAndLogicals:
         top = (pf["a"] * 0.1).max()
         assert isinstance(top, float) and top == (pdf["a"] * 0.1).max()
 
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_floats_raise_at_formation(self, backend, value):
+        # no backend has a literal for them; pandas compares them, but a
+        # bare `inf` in the query would read a column of that name
+        pf, _ = polyframes(backend[1])
+        with pytest.raises(ValueError, match="no literal"):
+            pf["tenPercent"] < value
+
 
 #: ``string4`` cycles AAAA, HHHH, OOOO, VVVV padded with ``x``; lower case
 #: matches no stored value, only a mapped one

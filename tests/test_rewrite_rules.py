@@ -226,6 +226,14 @@ class TestLiterals:
         assert rules.literal(5) == "5"
         assert rules.literal(2.5) == "2.5E0"
 
+    @pytest.mark.parametrize("language", ["sparksql", "sql", "sqlpp", "mongo", "cypher"])
+    def test_non_finite_floats_are_refused(self, language):
+        # `inf` or `infE0` would be read as a column name by every backend
+        rules = load_language(language)
+        for value in (float("inf"), float("-inf"), float("nan")):
+            with pytest.raises(ValueError, match="no literal"):
+                rules.literal(value)
+
     def test_null(self):
         assert load_language("sql").literal(None) == "NULL"
         assert load_language("mongo").literal(None) == "null"
