@@ -8,38 +8,14 @@ Usage: spark-submit jobs/table3_expressions.py [scale]
 from __future__ import annotations
 
 import sys
-import tempfile
-from pathlib import Path
 
-from repro.bench.expressions import EXPRESSIONS
-from repro.bench.harness import (
-    BACKENDS,
-    format_table,
-    local_spark,
-    make_connector,
-    register_dataset,
-    run_pandas,
-    warmup,
-    run_polyframe,
-)
+from repro.bench.harness import BACKENDS, format_table, local_spark, run_sweep
 from repro.wisconsin.generator import scaled_sizes, wisconsin_pdf
 
 
 def main(spark, scale: float = 0.01) -> None:
     n = scaled_sizes(scale)["XS"]
-    pdf = wisconsin_pdf(n, seed=42)
-    rows = []
-
-    with tempfile.TemporaryDirectory() as tmp:
-        json_path = Path(tmp) / "wisconsin_xs.json"
-        pdf.to_json(json_path, orient="records", lines=True)
-        rows += run_pandas(json_path, "XS", n, EXPRESSIONS, repeats=3)
-
-    for kind in BACKENDS:
-        conn = make_connector(kind, spark)
-        register_dataset(conn, pdf, pdf)
-        warmup(conn)
-        rows += run_polyframe(conn, f"polyframe-{kind}", "XS", n, EXPRESSIONS, repeats=3)
+    rows = run_sweep(spark, wisconsin_pdf(n, seed=42), "XS", BACKENDS)
 
     print(f"TABLE III / Fig. 5 — XS dataset ({n} records), times in seconds")
     print("\n== total runtime (creation + expression), Fig. 5a/5b ==")

@@ -7,19 +7,8 @@ Usage: spark-submit jobs/table4_single_node.py [scale]
 from __future__ import annotations
 
 import sys
-import tempfile
-from pathlib import Path
 
-from repro.bench.expressions import EXPRESSIONS
-from repro.bench.harness import (
-    format_table,
-    local_spark,
-    make_connector,
-    register_dataset,
-    run_pandas,
-    warmup,
-    run_polyframe,
-)
+from repro.bench.harness import format_table, local_spark, run_sweep
 from repro.wisconsin.generator import scaled_sizes, wisconsin_pdf
 
 SYSTEMS = ("sparksql", "sql")
@@ -29,16 +18,7 @@ def main(spark, scale: float = 0.01) -> None:
     sizes = scaled_sizes(scale)
     rows = []
     for name, n in sizes.items():
-        pdf = wisconsin_pdf(n, seed=42)
-        with tempfile.TemporaryDirectory() as tmp:
-            json_path = Path(tmp) / "w.json"
-            pdf.to_json(json_path, orient="records", lines=True)
-            rows += run_pandas(json_path, name, n, EXPRESSIONS, repeats=3)
-        for kind in SYSTEMS:
-            conn = make_connector(kind, spark)
-            register_dataset(conn, pdf, pdf)
-            warmup(conn)
-            rows += run_polyframe(conn, f"polyframe-{kind}", name, n, EXPRESSIONS, repeats=3)
+        rows += run_sweep(spark, wisconsin_pdf(n, seed=42), name, SYSTEMS)
         print(f"... {name} ({n} records) done")
 
     print(f"\nTABLE IV / Figs 6-8 — sizes {sizes} (scale={scale})")

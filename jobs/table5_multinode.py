@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import sys
 
-from repro.bench.expressions import EXPRESSIONS
 from repro.bench.harness import (
     local_spark,
     make_connector,
@@ -32,9 +31,22 @@ def _run(spark, pdf, nodes: int, label: str):
     register_dataset(conn, sdf, sdf)
     warmup(conn)
     with simulated_nodes(spark, nodes):
-        rows = run_polyframe(conn, "polyframe-sparksql", label, len(pdf), EXPRESSIONS, repeats=3)
+        rows = run_polyframe(conn, "polyframe-sparksql", label, len(pdf))
     sdf.unpersist()
     return rows
+
+
+def _print_ratios(rows, title: str) -> None:
+    """Print expression-only seconds per node count and their ratio to
+    1 node: speedup and scaleup are both t(1 node) / t(n nodes)."""
+    pivot = rows_to_frame(rows).pivot_table(
+        index=["expr_id", "expr_name"], columns="dataset", values="expression_s"
+    )
+    pivot = pivot[[f"{n}-nodes" for n in NODES]]
+    print("\nexpression-only seconds per simulated node count:")
+    print(pivot.round(4).to_string())
+    print(f"\n{title}")
+    print(pivot.rdiv(pivot["1-nodes"], axis=0).round(2).to_string())
 
 
 def main(spark, scale: float = 0.2) -> None:
@@ -48,32 +60,14 @@ def main(spark, scale: float = 0.2) -> None:
     for n in NODES:
         rows += _run(spark, wisconsin_pdf(xl, seed=42), n, f"{n}-nodes")
         print(f"... speedup {n} nodes done")
-    frame = rows_to_frame(rows)
-    pivot = frame.pivot_table(
-        index=["expr_id", "expr_name"], columns="dataset", values="expression_s"
-    )
-    pivot = pivot[[f"{n}-nodes" for n in NODES]]
-    speedup = pivot.div(pivot["1-nodes"], axis=0).rdiv(1.0).round(2)
-    print("\nexpression-only seconds per simulated node count:")
-    print(pivot.round(4).to_string())
-    print("\nspeedup over 1 node (ideal = node count):")
-    print(speedup.to_string())
+    _print_ratios(rows, "speedup over 1 node (ideal = node count):")
 
     print(f"\nTABLE V / Fig. 10 — SCALEUP (XL per node, {xl} records/node)")
     rows = []
     for n in NODES:
         rows += _run(spark, wisconsin_pdf(xl * n, seed=42), n, f"{n}-nodes")
         print(f"... scaleup {n} nodes done")
-    frame = rows_to_frame(rows)
-    pivot = frame.pivot_table(
-        index=["expr_id", "expr_name"], columns="dataset", values="expression_s"
-    )
-    pivot = pivot[[f"{n}-nodes" for n in NODES]]
-    scaleup = pivot.rdiv(1.0).mul(pivot["1-nodes"], axis=0).round(2)
-    print("\nexpression-only seconds per simulated node count:")
-    print(pivot.round(4).to_string())
-    print("\nscaleup vs 1 node (ideal = 1.0):")
-    print(scaleup.to_string())
+    _print_ratios(rows, "scaleup vs 1 node (ideal = 1.0):")
 
 
 if __name__ == "__main__":

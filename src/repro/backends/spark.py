@@ -81,10 +81,6 @@ def _partition_count(spark: SparkSession, data: pd.DataFrame) -> int:
     return min(max(n, 1), spark.sparkContext.defaultParallelism)
 
 
-#: The namespace of a Mongo or Cypher engine query run without one.
-DEFAULT_NAMESPACE = "Default"
-
-
 def view_name(namespace: str, collection: str) -> str:
     """Flat temp-view name for a namespaced dataset."""
     return f"{namespace}_{collection}"

@@ -14,11 +14,12 @@ growing it proportionally (scaleup, Table V row 3).
 from __future__ import annotations
 
 import os
+import tempfile
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable
 
 import pandas as pd
 from pyspark.sql import SparkSession
@@ -26,7 +27,7 @@ from pyspark.sql import SparkSession
 from repro.backends.duck import DuckDBConnector
 from repro.backends.engines import CypherConnector, MongoConnector, SqlPPConnector
 from repro.backends.spark import SparkConnector
-from repro.bench.expressions import EXPRESSIONS, BenchExpression
+from repro.bench.expressions import EXPRESSIONS
 from repro.core import DBConnector, PolyFrame
 
 #: Every PolyFrame backend in this reproduction, keyed by language.
@@ -35,6 +36,11 @@ BACKENDS = ("sparksql", "sql", "sqlpp", "mongo", "cypher")
 NAMESPACE = "Bench"
 COLLECTION = "wisconsin"
 COLLECTION2 = "wisconsin2"
+
+#: Each expression's time is the best of this many runs — the paper reports
+#: single runs on dedicated EC2 nodes; best-of-N filters a shared machine's
+#: scheduling noise out of ~100 ms queries.
+REPEATS = 3
 
 
 def local_spark() -> SparkSession:
@@ -102,49 +108,49 @@ def timed(fn: Callable[[], object]) -> tuple[float, object]:
     return time.perf_counter() - t0, result
 
 
-def _best_of(fn: Callable[[], object], repeats: int) -> float:
-    """Minimum wall-clock over ``repeats`` runs — the paper reports single
-    runs on dedicated EC2 nodes; best-of-N filters this shared container's
-    scheduling noise out of ~100 ms queries."""
-    return min(timed(fn)[0] for _ in range(max(1, repeats)))
+def _best_of(fn: Callable[[], object]) -> float:
+    """Minimum wall-clock over :data:`REPEATS` runs."""
+    return min(timed(fn)[0] for _ in range(REPEATS))
 
 
-def run_pandas(
-    json_path: str | Path,
-    dataset: str,
-    n_records: int,
-    expressions: Iterable[BenchExpression] = EXPRESSIONS,
-    repeats: int = 1,
-) -> list[TimingRow]:
+def run_pandas(json_path: str | Path, dataset: str, n_records: int) -> list[TimingRow]:
     """Pandas baseline: creation = pd.read_json (paper Appendix D)."""
     creation_s, df = timed(lambda: pd.read_json(json_path, orient="records", lines=True))
     df2 = df  # expression 12 joins "two identical datasets"
     rows = []
-    for e in expressions:
-        expr_s = _best_of(lambda: e.pandas_fn(df, df2), repeats)
-        rows.append(
-            TimingRow(e.id, e.name, "pandas", dataset, n_records, creation_s, expr_s)
-        )
+    for e in EXPRESSIONS:
+        expr_s = _best_of(lambda: e.pandas_fn(df, df2))
+        rows.append(TimingRow(e.id, e.name, "pandas", dataset, n_records, creation_s, expr_s))
     return rows
 
 
 def run_polyframe(
-    connector: DBConnector,
-    system: str,
-    dataset: str,
-    n_records: int,
-    expressions: Iterable[BenchExpression] = EXPRESSIONS,
-    repeats: int = 1,
+    connector: DBConnector, system: str, dataset: str, n_records: int
 ) -> list[TimingRow]:
     """PolyFrame on one backend: creation = frame construction (q1 only)."""
     creation_s, pf = timed(lambda: PolyFrame(NAMESPACE, COLLECTION, connector))
     pf2 = PolyFrame(NAMESPACE, COLLECTION2, connector)
     rows = []
-    for e in expressions:
-        expr_s = _best_of(lambda: e.poly_fn(pf, pf2), repeats)
-        rows.append(
-            TimingRow(e.id, e.name, system, dataset, n_records, creation_s, expr_s)
-        )
+    for e in EXPRESSIONS:
+        expr_s = _best_of(lambda: e.poly_fn(pf, pf2))
+        rows.append(TimingRow(e.id, e.name, system, dataset, n_records, creation_s, expr_s))
+    return rows
+
+
+def run_sweep(
+    spark: SparkSession, pdf: pd.DataFrame, dataset: str, systems: tuple[str, ...]
+) -> list[TimingRow]:
+    """The expressions on ``pdf``, by pandas from a JSON file of it and by
+    PolyFrame on each backend of ``systems`` (Tables III and IV)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        json_path = Path(tmp) / "wisconsin.json"
+        pdf.to_json(json_path, orient="records", lines=True)
+        rows = run_pandas(json_path, dataset, len(pdf))
+    for kind in systems:
+        conn = make_connector(kind, spark)
+        register_dataset(conn, pdf, pdf)
+        warmup(conn)
+        rows += run_polyframe(conn, f"polyframe-{kind}", dataset, len(pdf))
     return rows
 
 

@@ -56,6 +56,11 @@ _MAP_RULES: dict[object, str] = {
 #: ``astype`` targets -> rewrite-rule key
 _ASTYPE_RULES: dict[object, str] = {int: "to_int", str: "to_str", "int": "to_int", "str": "to_str"}
 
+#: The rules of the COMPARISON STATEMENTS: an operand that one of them
+#: formed is wrapped by the ``group`` rule when its operator is one too, so
+#: ``(a == b) == (b > 0)`` is not read as ``a = b = b > 0``.
+_COMPARISONS = frozenset(("eq", "ne", "gt", "lt", "ge", "le", "is_missing", "not_missing"))
+
 #: ``other`` of a unary derivation (``None`` is the NULL literal)
 _UNARY = object()
 
@@ -96,14 +101,12 @@ class PolyFrame:
         namespace: str,
         collection: str,
         connector: DBConnector,
-        rules: RewriteRules | None = None,
         _query: str | None = None,
         _columns: object = _DATASET_COLUMNS,
     ):
         self.namespace = namespace
         self.collection = collection
         self.connector = connector
-        self.rules = rules if rules is not None else connector.rules
         if _query is None:
             # Frame creation only verifies the dataset and forms q1 — it
             # never loads data (the paper's "DataFrame creation time" for
@@ -115,32 +118,24 @@ class PolyFrame:
         self.query = _query
         self._columns = _columns
 
+    @property
+    def rules(self) -> RewriteRules:
+        """The connector's rules, user-defined rewrites included."""
+        return self.connector.rules
+
     # ------------------------------------------------------------------
     # plumbing
     # ------------------------------------------------------------------
     def _frame(self, query: str, columns: object = None) -> "PolyFrame":
         return PolyFrame(
-            self.namespace,
-            self.collection,
-            self.connector,
-            self.rules,
-            _query=query,
-            _columns=columns,
+            self.namespace, self.collection, self.connector, _query=query, _columns=columns
         )
 
-    def _column(
-        self, query: str, expr: str, name: str, base_query: str, columns: object = None
-    ) -> "PolyFrameColumn":
+    def _column(self, query: str, columns: object = None, **state) -> "PolyFrameColumn":
+        """A column of this frame's dataset; ``state`` is its ``expr``,
+        ``name``, ``base_query`` and ``rule``."""
         return PolyFrameColumn(
-            self.namespace,
-            self.collection,
-            self.connector,
-            self.rules,
-            _query=query,
-            _columns=columns,
-            expr=expr,
-            name=name,
-            base_query=base_query,
+            self.namespace, self.collection, self.connector, _query=query, _columns=columns, **state
         )
 
     def _check_frame(self, column: "PolyFrameColumn", base_query: str | None = None) -> None:
@@ -318,18 +313,22 @@ class PolyFrame:
 class PolyFrameColumn(PolyFrame):
     """A single (possibly computed) column of a PolyFrame.
 
-    Carries three pieces of state beyond the frame: ``expr`` — the
+    Carries four pieces of state beyond the frame: ``expr`` — the
     language-specific fragment denoting this column inside a statement over
-    ``base_query``; ``name`` — its output alias; and ``base_query`` — the
+    ``base_query``; ``name`` — its output alias; ``base_query`` — the
     query of the frame it was derived from, which every column derived
-    from it keeps. ``query`` is the column's own value query.
+    from it keeps; and ``rule`` — the rule that formed ``expr`` (``None``
+    for a dataset attribute). ``query`` is the column's own value query.
     """
 
-    def __init__(self, *args, expr: str, name: str, base_query: str, **kwargs):
+    def __init__(
+        self, *args, expr: str, name: str, base_query: str, rule: str | None = None, **kwargs
+    ):
         super().__init__(*args, **kwargs)
         self.expr = expr
         self.name = name
         self.base_query = base_query
+        self.rule = rule
 
     # -- the derivation step -------------------------------------------
     def _derive(
@@ -343,24 +342,30 @@ class PolyFrameColumn(PolyFrame):
 
         Raises ``ValueError`` if ``other`` is a column of another frame.
         """
+
+        def grouped(column: PolyFrameColumn) -> str:
+            if rule in _COMPARISONS and column.rule in _COMPARISONS:
+                return self.rules.apply("group", statement=column.expr)
+            return column.expr
+
         variables = {}
         if isinstance(other, PolyFrameColumn):
             self._check_frame(other, self.base_query)
-            variables["right"] = other.expr
+            variables["right"] = grouped(other)
         elif other is not _UNARY:
             variables["right"] = self.rules.literal(_native(other))
 
         def form(operand: str) -> str:
             return self.rules.apply(rule, left=operand, statement=operand, **variables)
 
-        expr = form(self.expr)
+        expr = form(grouped(self))
         if isinstance(other, PolyFrameColumn):
             subquery, statement = self.base_query, expr
         else:
             ref = self.rules.apply("single_attribute", attribute=self.name)
             subquery, statement = self.query, form(ref)
         query = self.rules.apply("q7", subquery=subquery, statement=statement, alias=name)
-        return self._column(query, expr=expr, name=name, base_query=self.base_query)
+        return self._column(query, expr=expr, name=name, base_query=self.base_query, rule=rule)
 
     # comparisons return boolean columns (Table I row 3)
     __eq__ = _operator("eq")  # type: ignore[assignment]

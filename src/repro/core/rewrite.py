@@ -93,9 +93,9 @@ class RewriteRules:
     ...) are exposed via :meth:`meta`.
     """
 
-    def __init__(self, rules: dict[str, str], meta: dict[str, str] | None = None):
+    def __init__(self, rules: dict[str, str], meta: dict[str, str]):
         self._rules = dict(rules)
-        self._meta = dict(meta or {})
+        self._meta = dict(meta)
 
     # -- construction --------------------------------------------------
     @classmethod
@@ -135,8 +135,8 @@ class RewriteRules:
     def keys(self) -> list[str]:
         return sorted(self._rules)
 
-    def meta(self, key: str, default: str | None = None) -> str | None:
-        return self._meta.get(key, default)
+    def meta(self, key: str) -> str | None:
+        return self._meta.get(key)
 
     # -- mutation (User-Defined Rewrites) -------------------------------
     def set(self, key: str, template: str) -> None:
@@ -175,7 +175,7 @@ class RewriteRules:
     def literal(self, value: object) -> str:
         """Format a Python literal in this language's syntax."""
         if value is None:
-            return self.get("null_literal") if self.has("null_literal") else "NULL"
+            return self.get("null_literal")
         if isinstance(value, bool):
             return "true" if value else "false"
         if isinstance(value, float) and not math.isfinite(value):
@@ -185,8 +185,7 @@ class RewriteRules:
         if isinstance(value, (int, float)):
             return repr(value)
         if isinstance(value, str):
-            quote = self.meta("string_quote", "'") or "'"
-            style = self.meta("string_escape", "backslash")
+            quote, style = self.meta("string_quote"), self.meta("string_escape")
             if style == "doubled":  # standard SQL: 'it''s', a backslash is plain
                 escaped = value.replace(quote, quote * 2)
             elif style == "backslash":  # 'it\'s', 'a\\b'

@@ -7,6 +7,8 @@ incremental query formation), and a final ``RETURN`` (+ ``LIMIT``).
 This engine compiles that subset to one Spark SQL query and runs it with
 one ``spark.sql`` call, as the SQL++ transpiler does, so the Cypher code
 path runs end-to-end offline (DESIGN.md §2) and is planned by Catalyst.
+It accepts the forms that ``cypher.ini``'s rules emit, and raises
+:class:`CypherEngineError` for any other.
 
 Compilation model: each clause becomes one ``SELECT`` over the query so
 far, bound to the SQL table alias ``t`` as ``(...) t``, so a Cypher
@@ -14,13 +16,13 @@ property ``t.x`` is the Spark SQL column ``t.x`` as written. Clauses:
 
 * ``MATCH (t: Label)``               — the registered label's view, as ``t``
 * ``MATCH (r: Label)``               — bind a second node (paper's join,
-  q10); the following ``WHERE t.a = r.b`` turns the conceptual cartesian
-  product into an equi-join (what Neo4j's planner does for such patterns),
-  with the label's view as ``r``
+  q10); the ``WHERE t.a = r.b`` that must follow it turns the conceptual
+  cartesian product into an equi-join (what Neo4j's planner does for such
+  patterns), with the label's view as ``r``
 * ``WITH t`` / ``WITH t WHERE p`` / ``WITH t ORDER BY e [DESC]``
 * ``WITH t{items}`` / ``WITH DISTINCT t{items}`` — map projection
   (``.*`` is ``t.*``, a bare ``r`` is ``struct(r.*)``; ``'alias': expr``
-  computes)
+  computes, its key always quoted)
 * ``WITH {items} AS t``              — aggregation with Cypher's implicit
   grouping: non-aggregate items are the grouping keys
 * ``RETURN t`` / ``RETURN COUNT(*) AS t`` / ``LIMIT n``
@@ -39,19 +41,19 @@ import re
 
 from pyspark.sql import DataFrame
 
-from repro.backends.spark import DEFAULT_NAMESPACE, SparkConnector, view_name
+from repro.backends.spark import SparkConnector, view_name
 from repro.core.connector import DatasetNotRegistered
 from repro.translate import outside_literals, quote_ident as q, replace_call
 
-_AGG_HEAD_RE = re.compile(r"^\s*(min|max|avg|count|stddev_pop|sum)\s*\(", re.IGNORECASE)
+_AGG_HEAD_RE = re.compile(r"^\s*(min|max|avg|count|stddev_pop)\s*\(", re.IGNORECASE)
 
 
 class CypherEngineError(ValueError):
     """The query uses a construct outside the supported subset."""
 
 
-def _split_top_level(text: str, sep: str = ",") -> list[str]:
-    """Split on ``sep`` outside quotes/parens/braces/brackets."""
+def _split_top_level(text: str) -> list[str]:
+    """Split on commas outside quotes/parens/braces/brackets."""
     parts, depth, quote, start = [], 0, None, 0
     for i, ch in enumerate(text):
         if quote:
@@ -63,7 +65,7 @@ def _split_top_level(text: str, sep: str = ",") -> list[str]:
             depth += 1
         elif ch in ")]}":
             depth -= 1
-        elif ch == sep and depth == 0:
+        elif ch == "," and depth == 0:
             parts.append(text[start:i])
             start = i + 1
     parts.append(text[start:])
@@ -92,10 +94,10 @@ class CypherEngine:
         self.sql = connector.spark.sql
 
     # ------------------------------------------------------------------
-    def execute(self, query: str, namespace: str = DEFAULT_NAMESPACE) -> DataFrame:
+    def execute(self, query: str, namespace: str) -> DataFrame:
         return self.sql(self.compile(query, namespace))
 
-    def compile(self, query: str, namespace: str = DEFAULT_NAMESPACE) -> str:
+    def compile(self, query: str, namespace: str) -> str:
         """The Spark SQL text of ``query``; labels resolve in ``namespace``."""
         src: str | None = None  # the FROM item binding t (and r after a join)
         sql: str | None = None  # the RETURN clause's SELECT
@@ -119,13 +121,12 @@ class CypherEngine:
                     pending_match = view
             elif src is None:
                 raise CypherEngineError("query must start with MATCH")
-            elif line.upper().startswith("WHERE "):
-                pred = line[6:]
-                if pending_match is not None:
-                    src = self._join(src, pending_match, pred)
-                    pending_match = None
-                else:
-                    src = f"(SELECT t.* FROM {src} WHERE {_to_sql(pred)}) t"
+            elif (pending_match is not None) != line.upper().startswith("WHERE "):
+                raise CypherEngineError(
+                    f"WHERE goes right after MATCH (r: ...), and only there: {line!r}"
+                )
+            elif pending_match is not None:
+                src, pending_match = self._join(src, pending_match, line[6:]), None
             elif line.upper().startswith("WITH "):
                 src = f"({self._with(src, line[5:].strip())}) t"
             elif line.upper().startswith("RETURN "):
@@ -171,15 +172,13 @@ class CypherEngine:
         return f"SELECT {distinct}{items} FROM {src}{tail}"
 
     def _item(self, item: str) -> tuple[str | None, str]:
-        """Parse one projection item: ``'alias': expr`` / `` `alias`: expr``
-        / ``.*`` (alias None)."""
+        """Parse one projection item: ``'alias': expr`` / ``.*`` (alias None)."""
         if item.strip() == ".*":
             return None, ".*"
-        m = re.fullmatch(r"(?:'([^']*)'|`([^`]*)`|(\w+))\s*:\s*(.+)", item, re.DOTALL)
+        m = re.fullmatch(r"'([^']*)'\s*:\s*(.+)", item, re.DOTALL)
         if m is None:
             raise CypherEngineError(f"unsupported projection item: {item!r}")
-        alias = m.group(1) or m.group(2) or m.group(3)
-        return alias, m.group(4).strip()
+        return m.group(1), m.group(2).strip()
 
     def _map_projection(self, items: str) -> str:
         sql = []

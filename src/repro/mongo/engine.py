@@ -7,17 +7,17 @@ one Spark SQL query and runs it with one ``spark.sql`` call, as the SQL++
 transpiler does, so the MongoDB code path runs end-to-end, is planned by
 Catalyst, and its results can be oracle-checked.
 
-Supported stages: ``$match`` (empty or ``$expr``), ``$project``
-(inclusion / exclusion / computed, with MongoDB's implicit ``_id``
-retention), ``$addFields``, ``$group`` (keyed or global ``_id``, with
-``$min/$max/$avg/$sum/$stdDevPop/$count`` accumulators), ``$sort``,
-``$limit``, ``$count``, and ``$lookup`` in the ``let`` + single-equality
-correlated-pipeline form PolyFrame emits, followed at once by an
-``$unwind`` of its ``as`` field. The pair compiles to one equi-join
-(``INNER``, or ``LEFT`` with ``preserveNullAndEmptyArrays``) that binds
-each joined document as a struct, which is how MongoDB's own optimizer
-coalesces the two stages. No PolyFrame rule emits a bare ``$lookup`` or
-a lone ``$unwind``, so either raises :class:`MongoEngineError`.
+The engine accepts the forms that ``mongo.ini``'s rules emit, and raises
+:class:`MongoEngineError` for any other. Stages: ``$match`` (empty or
+``$expr``), ``$project`` (inclusion / exclusion / computed, with MongoDB's
+implicit ``_id`` retention), ``$addFields``, ``$group`` (keyed or global
+``_id``, with ``$min/$max/$avg/$stdDevPop/$count`` accumulators),
+``$sort``, ``$limit``, ``$count``, and q10's ``$lookup``: a ``let``
+variable matched by one ``{"$eq": ["$field", "$$var"]}`` stage, followed
+at once by ``{"$unwind": {"path": "$<as>", "preserveNullAndEmptyArrays":
+false}}``. The pair compiles to one inner equi-join that binds each joined
+document as a struct, which is how MongoDB's own optimizer coalesces the
+two stages.
 
 Document model: one flat row per document, and ``_id`` is data, as in
 MongoDB. It exists only where MongoDB puts it: a collection's stored
@@ -45,7 +45,7 @@ from typing import Any
 
 from pyspark.sql import DataFrame
 
-from repro.backends.spark import DEFAULT_NAMESPACE, SparkConnector, view_name
+from repro.backends.spark import SparkConnector, view_name
 from repro.core.connector import DatasetNotRegistered
 from repro.core.rewrite import load_language, required_variables
 from repro.translate import quote_ident as q
@@ -60,7 +60,6 @@ _RULES = {
 _NULL_RULES = dict.fromkeys(("$lt", "$lte", "$eq"), "is_missing")
 _NULL_RULES |= dict.fromkeys(("$gt", "$gte", "$ne"), "not_missing")
 _ACCUMULATORS = {
-    "$sum": "sum",
     "$min": "min",
     "$max": "max",
     "$avg": "avg",
@@ -122,14 +121,10 @@ class MongoEngine:
         self.spark_sql = load_language("sparksql")
 
     # ------------------------------------------------------------------
-    def execute(
-        self, pipeline: list[dict], collection: str, namespace: str = DEFAULT_NAMESPACE
-    ) -> DataFrame:
+    def execute(self, pipeline: list[dict], collection: str, namespace: str) -> DataFrame:
         return self.sql(self.compile(pipeline, collection, namespace))
 
-    def compile(
-        self, pipeline: list[dict], collection: str, namespace: str = DEFAULT_NAMESPACE
-    ) -> str:
+    def compile(self, pipeline: list[dict], collection: str, namespace: str) -> str:
         """The Spark SQL text of ``pipeline`` run on ``collection``; every
         collection name resolves in ``namespace``."""
         return self._pipeline([_stage(s) for s in pipeline], collection, namespace).sql
@@ -260,9 +255,8 @@ class MongoEngine:
         return query.select([f"count(1) AS {q(spec)}"], [spec])
 
     def _lookup(self, left: SqlQuery, spec: dict, unwind: tuple, ns: str) -> SqlQuery:
-        """``$lookup`` + ``$unwind`` of its ``as`` field as one equi-join.
-        Each foreign document is joined as one struct, ``__doc``, so an
-        unmatched one (``preserveNullAndEmptyArrays``) is NULL."""
+        """``$lookup`` + ``$unwind`` of its ``as`` field as one inner
+        equi-join. Each foreign document is joined as one struct, ``__doc``."""
         as_name = spec["as"]
         # let-variables are evaluated against the OUTER document
         env = {name: self._expr(e) for name, e in spec.get("let", {}).items()}
@@ -278,35 +272,33 @@ class MongoEngine:
                 on = corr
         if on is None:
             raise MongoEngineError("$lookup requires one correlated $match $expr $eq stage")
-        name, uspec = unwind
-        uspec = {"path": uspec} if isinstance(uspec, str) else uspec
-        if name != "$unwind" or uspec.get("path") != "$" + as_name:
-            raise MongoEngineError(f"$lookup must be followed by an $unwind of '${as_name}'")
+        if unwind != ("$unwind", {"path": "$" + as_name, "preserveNullAndEmptyArrays": False}):
+            raise MongoEngineError(f"$lookup must be followed by an inner $unwind of '${as_name}'")
         right = self._pipeline(stages, spec["from"], ns)
         field, var = on
         cols = [c for c in left.cols if c != as_name] + [as_name]
         items = [q(c) for c in cols[:-1]] + [f"`__doc` AS {q(as_name)}"]
         return SqlQuery(
             f"SELECT {', '.join(items)} FROM ({left.sql}) AS l "
-            f"{'LEFT' if uspec.get('preserveNullAndEmptyArrays') else 'INNER'} JOIN "
+            "INNER JOIN "
             f"(SELECT struct(*) AS `__doc` FROM ({right.sql})) AS r "
             f"ON {var} = `__doc`.{q(field)}",
             cols,
         )
 
     def _correlation(self, expr: dict, env: dict) -> tuple[str, str] | None:
-        """Detect ``{"$eq": ["$field", "$$var"]}`` (either operand order)."""
+        """Detect ``{"$eq": ["$field", "$$var"]}``, the field first as q10
+        writes it."""
         if set(expr) != {"$eq"} or len(expr["$eq"]) != 2:
             return None
-        a, b = expr["$eq"]
-        for field, var in ((a, b), (b, a)):
-            if (
-                isinstance(field, str)
-                and field.startswith("$")
-                and not field.startswith("$$")
-                and isinstance(var, str)
-                and var.startswith("$$")
-                and var[2:] in env
-            ):
-                return field[1:], env[var[2:]]
+        field, var = expr["$eq"]
+        if (
+            isinstance(field, str)
+            and field.startswith("$")
+            and not field.startswith("$$")
+            and isinstance(var, str)
+            and var.startswith("$$")
+            and var[2:] in env
+        ):
+            return field[1:], env[var[2:]]
         return None

@@ -1,19 +1,17 @@
 """DuckDB correctness oracle.
 
-``assert_equivalent(spark_df, sql, **tables)`` runs ``sql`` in DuckDB
-over ``tables`` and asserts the sorted rows match ``spark_df`` (the
-Spark result). This catches wrong results from a rewritten plan or a
-custom operator — "it ran" is not "it is correct".
+``assert_equivalent(got, sql, **tables)`` runs ``sql`` in DuckDB over the
+pandas frames ``tables`` and asserts that its sorted rows match ``got``,
+the pandas result of a PolyFrame action. This catches wrong results from
+a rewritten plan or a custom operator — "it ran" is not "it is correct".
 
-``tables`` may be Spark or pandas DataFrames; Spark inputs are
-collected via ``.toPandas()``. Alias every output column identically
-on both sides (Spark names ``count(*)`` as ``count(1)``, DuckDB as
-``count_star()``) and project to scalar columns — array/map/struct
-columns are not orderable so cannot be compared here.
+Alias every output column identically on both sides (Spark names
+``count(*)`` as ``count(1)``, DuckDB as ``count_star()``) and project to
+scalar columns — array/map/struct columns are not orderable so cannot be
+compared here.
 """
 import duckdb
 import pandas as pd
-from pyspark.sql import DataFrame
 
 
 def _canon(pdf: pd.DataFrame) -> pd.DataFrame:
@@ -25,15 +23,14 @@ def _canon(pdf: pd.DataFrame) -> pd.DataFrame:
     return pdf.sort_values(list(pdf.columns)).reset_index(drop=True)
 
 
-def assert_equivalent(spark_df: DataFrame, sql: str, **tables) -> None:
+def assert_equivalent(got: pd.DataFrame, sql: str, **tables: pd.DataFrame) -> None:
     con = duckdb.connect()
     try:
         for name, t in tables.items():
-            con.register(name, t.toPandas() if isinstance(t, DataFrame) else t)
+            con.register(name, t)
         expected = con.execute(sql).fetchdf()
     finally:
         con.close()
-    got = spark_df.toPandas()
     assert set(expected.columns) == set(got.columns), (
         f"column mismatch: {sorted(got.columns)} vs {sorted(expected.columns)} "
         "— alias every output column identically on both sides"

@@ -32,15 +32,17 @@ remainder padding ``x``; ``string4`` cycles four fixed patterns.
 
 Generation is deterministic in ``seed`` (numpy Generator) so the DuckDB
 oracle, the pandas baseline and every PolyFrame backend all see identical
-data. Sizes: the paper's single-node datasets are 0.5M–5M records
-(Table IV); this reproduction runs the same *ratios* at 1/100 scale for
-benchmarks and 1/1000 for tests (DESIGN.md §2 substitution 3).
+data. The generator makes pandas frames only: each connector loads them
+into its backend when they are registered, and the multi-node job
+repartitions its own Spark copy. Sizes: the paper's single-node datasets
+are 0.5M–5M records (Table IV); this reproduction runs the same *ratios*
+at 1/100 scale for benchmarks and 1/1000 for tests (DESIGN.md §2
+substitution 3).
 """
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame as SparkDataFrame, SparkSession
 
 #: Paper Table IV record counts (single node, JSON sizes 1–10 GB).
 PAPER_SIZES: dict[str, int] = {
@@ -53,7 +55,7 @@ PAPER_SIZES: dict[str, int] = {
 
 #: Fraction of tenPercent values replaced by NULL (the paper's
 #: "modified the Wisconsin dataset to include missing values").
-DEFAULT_MISSING_RATE = 0.1
+MISSING_RATE = 0.1
 
 _STRING_LEN = 52
 _SIG_CHARS = 7
@@ -83,22 +85,19 @@ def _string4(n: int) -> np.ndarray:
     return cycle[np.arange(n) % 4]
 
 
-def wisconsin_pdf(
-    n: int, *, seed: int = 0, missing_rate: float = DEFAULT_MISSING_RATE
-) -> pd.DataFrame:
+def wisconsin_pdf(n: int, *, seed: int) -> pd.DataFrame:
     """Generate ``n`` Wisconsin records as a pandas DataFrame.
 
-    ``tenPercent`` is a float64 column with ``missing_rate`` of its values
-    NaN (→ NULL in every backend); all other attributes are exact Table II
-    derivations from ``unique1``/``unique2``.
+    ``tenPercent`` is a float64 column with :data:`MISSING_RATE` of its
+    values NaN (→ NULL in every backend); all other attributes are exact
+    Table II derivations from ``unique1``/``unique2``.
     """
     g = np.random.default_rng(seed)
     unique2 = np.arange(n, dtype=np.int64)
     unique1 = g.permutation(n).astype(np.int64)
     one_percent = unique1 % 100
     ten_percent = (unique1 % 10).astype(np.float64)
-    if missing_rate > 0:
-        ten_percent[g.random(n) < missing_rate] = np.nan
+    ten_percent[g.random(n) < MISSING_RATE] = np.nan
     return pd.DataFrame(
         {
             "unique1": unique1,
@@ -121,26 +120,6 @@ def wisconsin_pdf(
     )
 
 
-def wisconsin(
-    spark: SparkSession,
-    n: int,
-    *,
-    seed: int = 0,
-    missing_rate: float = DEFAULT_MISSING_RATE,
-    partitions: int | None = None,
-) -> SparkDataFrame:
-    """The same dataset as a Spark DataFrame.
-
-    ``partitions`` repartitions the frame — the multi-node simulation
-    (DESIGN.md §2 substitution 2) equates "cluster nodes" with input
-    partitions.
-    """
-    df = spark.createDataFrame(wisconsin_pdf(n, seed=seed, missing_rate=missing_rate))
-    if partitions is not None:
-        df = df.repartition(partitions)
-    return df
-
-
-def scaled_sizes(scale: float = 0.01) -> dict[str, int]:
-    """Paper Table IV sizes scaled down (default 1/100 for benchmarks)."""
+def scaled_sizes(scale: float) -> dict[str, int]:
+    """Paper Table IV sizes times ``scale`` (the jobs default to 1/100)."""
     return {name: max(1, int(n * scale)) for name, n in PAPER_SIZES.items()}

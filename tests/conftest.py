@@ -113,11 +113,10 @@ def polyframes(connector) -> tuple[PolyFrame, PolyFrame]:
     )
 
 
-def check_frame(spark, result: pd.DataFrame, sql: str, **tables) -> None:
-    """Oracle-check a pandas result PolyFrame returned, lifting it into
-    Spark so tests reuse repro.oracle.assert_equivalent verbatim."""
+def check_frame(result: pd.DataFrame, sql: str, **tables) -> None:
+    """Oracle-check a pandas result PolyFrame returned."""
     assert len(result) > 0, "refusing to oracle-check an empty result"
-    oracle.assert_equivalent(spark.createDataFrame(result), sql, **tables)
+    oracle.assert_equivalent(result, sql, **tables)
 
 
 def duck_scalar(sql: str, **tables):

@@ -8,8 +8,10 @@ from __future__ import annotations
 import pandas as pd
 import pytest
 
-from repro.backends.spark import DEFAULT_NAMESPACE as NS, SparkConnector
+from repro.backends.spark import SparkConnector
 from repro.cypher.engine import CypherEngine, CypherEngineError, _split_top_level, _to_sql
+
+NS = "Default"
 
 
 @pytest.fixture(scope="module")
@@ -33,7 +35,7 @@ def engine(spark, data) -> CypherEngine:
 
 
 def run(engine, query: str) -> pd.DataFrame:
-    return engine.execute(query).toPandas()
+    return engine.execute(query, NS).toPandas()
 
 
 class TestHelpers:

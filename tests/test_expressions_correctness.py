@@ -41,13 +41,13 @@ def test_scalar_expressions_match_pandas(backend, wdata, wdata2, expr_id):
 
 
 @pytest.mark.parametrize("expr_id", FRAME_IDS)
-def test_frame_expressions_match_oracle(spark, backend, wdata, wdata2, expr_id):
+def test_frame_expressions_match_oracle(backend, wdata, wdata2, expr_id):
     _, conn = backend
     e = BY_ID[expr_id]
     pf, pf2 = polyframes(conn)
     result = e.poly_fn(pf, pf2)
     assert isinstance(result, pd.DataFrame)
-    check_frame(spark, result, e.oracle_sql, data=wdata, data2=wdata2)
+    check_frame(result, e.oracle_sql, data=wdata, data2=wdata2)
 
 
 class TestSamples:

@@ -12,6 +12,7 @@ import pandas as pd
 import pytest
 from pyspark.errors import AnalysisException
 
+from repro.backends.engines import MongoConnector
 from repro.bench.harness import BACKENDS, COLLECTION, NAMESPACE
 from repro.bench.recording import RecordingConnector
 from repro.core import DatasetNotRegistered, PolyFrame
@@ -202,6 +203,8 @@ CHAINS = {
     "filter-two-computed": lambda f: len(f[(f["ten"] + 1) > f["four"] * 2]),
     "filter-invert-computed": lambda f: len(f[~((f["ten"] % 3) == 0)]),
     "isna-computed-filter": lambda f: len(f[(f["tenPercent"] + 1).notna()]),
+    # a comparison of comparisons: `a = b = c > 1` parses in no SQL backend
+    "compare-compare": lambda f: len(f[(f["ten"] == f["two"]) == (f["four"] > 1)]),
 }
 
 #: after a ``map``, SQL++ ``SELECT VALUE`` drops the column name, so a
@@ -237,10 +240,10 @@ class TestChainedColumns:
         pf, _ = polyframes(conn)
         assert _values(CHAINS[chain](pf)) == _values(CHAINS[chain](wdata))
 
-    def test_mongo_stage_text_not_json_raises_typed_error(self, backends):
+    def test_mongo_stage_text_not_json_raises_typed_error(self, spark, backends):
         rules = load_language("mongo").copy()
         rules.set("q3", '$subquery,\n { "$count": count }')
-        pf = PolyFrame(NAMESPACE, COLLECTION, backends["mongo"], rules=rules)
+        pf = PolyFrame(NAMESPACE, COLLECTION, MongoConnector(spark, rules=rules))
         with pytest.raises(MongoEngineError, match="not valid JSON"):
             len(pf)
 

@@ -48,6 +48,7 @@ REQUIRED_KEYS = (
         "le",
         "is_missing",
         "not_missing",
+        "group",
         "to_str",
         "to_int",
         "limit",

@@ -10,13 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.wisconsin.generator import (
-    DEFAULT_MISSING_RATE,
-    PAPER_SIZES,
-    scaled_sizes,
-    wisconsin,
-    wisconsin_pdf,
-)
+from repro.wisconsin.generator import MISSING_RATE, PAPER_SIZES, scaled_sizes, wisconsin_pdf
 
 N = 3_000
 
@@ -125,15 +119,7 @@ class TestMissingValues:
 
     def test_missing_rate_close_to_default(self, pdf):
         rate = pdf["tenPercent"].isna().mean()
-        assert abs(rate - DEFAULT_MISSING_RATE) < 0.03
-
-    def test_missing_rate_zero(self):
-        clean = wisconsin_pdf(500, seed=1, missing_rate=0.0)
-        assert clean["tenPercent"].isna().sum() == 0
-
-    def test_missing_rate_custom(self):
-        holey = wisconsin_pdf(2_000, seed=1, missing_rate=0.5)
-        assert abs(holey["tenPercent"].isna().mean() - 0.5) < 0.05
+        assert abs(rate - MISSING_RATE) < 0.03
 
 
 class TestStrings:
@@ -196,15 +182,11 @@ class TestSizes:
 
 class TestSparkRoundTrip:
     def test_spark_frame_schema_and_count(self, spark):
-        df = wisconsin(spark, 200, seed=5)
+        df = spark.createDataFrame(wisconsin_pdf(200, seed=5))
         assert df.count() == 200
         assert df.columns == EXPECTED_COLUMNS
 
     def test_nulls_survive_conversion(self, spark):
-        df = wisconsin(spark, 2_000, seed=5)
+        df = spark.createDataFrame(wisconsin_pdf(2_000, seed=5))
         nulls = df.filter("tenPercent IS NULL").count()
         assert nulls == int(wisconsin_pdf(2_000, seed=5)["tenPercent"].isna().sum())
-
-    def test_partitions_control(self, spark):
-        df = wisconsin(spark, 100, seed=5, partitions=3)
-        assert df.rdd.getNumPartitions() == 3
