@@ -1,10 +1,10 @@
 """The DataFrame benchmark's 13 analytical expressions (paper Table III).
 
-Each :class:`BenchExpression` carries three synchronized forms:
+Each :class:`BenchExpression` is written once:
 
-* ``pandas_fn`` — the literal Table III pandas expression (the baseline),
-* ``poly_fn`` — the same expression against a PolyFrame (ending in the
-  action that materializes it, since PolyFrame is lazy),
+* ``pandas_fn`` — the literal Table III pandas expression. It runs
+  unchanged on two pandas frames (the baseline) and on two PolyFrames;
+  ``poly_fn`` runs it to a result, materializing a lazy PolyFrame;
 * ``oracle_sql`` — DuckDB SQL over tables ``data``/``data2`` computing the
   same result, used by the correctness tests via ``repro.oracle``.
 
@@ -31,17 +31,26 @@ from repro.core.aframe import PolyFrame
 X, Y, Z = 7, 2, 1
 LO, HI = 10, 30
 
+#: the two datasets an expression reads: pandas frames or PolyFrames
+Frame = pd.DataFrame | PolyFrame
+
 
 @dataclass(frozen=True)
 class BenchExpression:
-    """One Table III benchmark expression in its three synchronized forms."""
+    """One Table III benchmark expression and its oracle SQL."""
 
     id: int
     name: str
     kind: str  # 'scalar' | 'frame' | 'sample'
-    pandas_fn: Callable[[pd.DataFrame, pd.DataFrame], object]
-    poly_fn: Callable[[PolyFrame, PolyFrame], object]
+    pandas_fn: Callable[[Frame, Frame], object]
     oracle_sql: str | None = None
+
+    def poly_fn(self, df: Frame, df2: Frame) -> object:
+        """``pandas_fn`` run to its result: a lazy PolyFrame it returns is
+        materialized with ``toPandas()``, any other result is returned as
+        it is, so this runs on pandas frames too."""
+        result = self.pandas_fn(df, df2)
+        return result.toPandas() if isinstance(result, PolyFrame) else result
 
 
 EXPRESSIONS: list[BenchExpression] = [
@@ -50,7 +59,6 @@ EXPRESSIONS: list[BenchExpression] = [
         "Total Count",
         "scalar",
         lambda df, df2: len(df),
-        lambda pf, pf2: len(pf),
         'SELECT COUNT(*) AS v FROM data',
     ),
     BenchExpression(
@@ -58,7 +66,6 @@ EXPRESSIONS: list[BenchExpression] = [
         "Project",
         "sample",
         lambda df, df2: df[["two", "four"]].head(),
-        lambda pf, pf2: pf[["two", "four"]].head(),
     ),
     BenchExpression(
         3,
@@ -66,9 +73,6 @@ EXPRESSIONS: list[BenchExpression] = [
         "scalar",
         lambda df, df2: len(
             df[(df["ten"] == X) & (df["twentyPercent"] == Y) & (df["two"] == Z)]
-        ),
-        lambda pf, pf2: len(
-            pf[(pf["ten"] == X) & (pf["twentyPercent"] == Y) & (pf["two"] == Z)]
         ),
         f'SELECT COUNT(*) AS v FROM data WHERE "ten" = {X} '
         f'AND "twentyPercent" = {Y} AND "two" = {Z}',
@@ -78,7 +82,6 @@ EXPRESSIONS: list[BenchExpression] = [
         "Group By",
         "frame",
         lambda df, df2: df.groupby("oddOnePercent").agg("count"),
-        lambda pf, pf2: pf.groupby("oddOnePercent").agg("count").toPandas(),
         'SELECT "oddOnePercent", COUNT("oddOnePercent") AS "count_oddOnePercent" '
         "FROM data GROUP BY 1",
     ),
@@ -87,14 +90,12 @@ EXPRESSIONS: list[BenchExpression] = [
         "Map Function",
         "sample",
         lambda df, df2: df["stringu1"].map(str.upper).head(),
-        lambda pf, pf2: pf["stringu1"].map(str.upper).head(),
     ),
     BenchExpression(
         6,
         "Max",
         "scalar",
         lambda df, df2: df["unique1"].max(),
-        lambda pf, pf2: pf["unique1"].max(),
         'SELECT MAX("unique1") AS v FROM data',
     ),
     BenchExpression(
@@ -102,7 +103,6 @@ EXPRESSIONS: list[BenchExpression] = [
         "Min",
         "scalar",
         lambda df, df2: df["unique1"].min(),
-        lambda pf, pf2: pf["unique1"].min(),
         'SELECT MIN("unique1") AS v FROM data',
     ),
     BenchExpression(
@@ -110,7 +110,6 @@ EXPRESSIONS: list[BenchExpression] = [
         "Group By & Max",
         "frame",
         lambda df, df2: df.groupby("twenty")["four"].agg("max"),
-        lambda pf, pf2: pf.groupby("twenty")["four"].agg("max").toPandas(),
         'SELECT "twenty", MAX("four") AS "max_four" FROM data GROUP BY 1',
     ),
     BenchExpression(
@@ -118,7 +117,6 @@ EXPRESSIONS: list[BenchExpression] = [
         "Sort",
         "frame",
         lambda df, df2: df.sort_values("unique1", ascending=False).head(),
-        lambda pf, pf2: pf.sort_values("unique1", ascending=False).head(),
         'SELECT * FROM data ORDER BY "unique1" DESC LIMIT 5',
     ),
     BenchExpression(
@@ -126,14 +124,12 @@ EXPRESSIONS: list[BenchExpression] = [
         "Selection",
         "sample",
         lambda df, df2: df[df["ten"] == X].head(),
-        lambda pf, pf2: pf[pf["ten"] == X].head(),
     ),
     BenchExpression(
         11,
         "Range Selection",
         "scalar",
         lambda df, df2: len(df[(df["onePercent"] >= LO) & (df["onePercent"] <= HI)]),
-        lambda pf, pf2: len(pf[(pf["onePercent"] >= LO) & (pf["onePercent"] <= HI)]),
         f'SELECT COUNT(*) AS v FROM data WHERE "onePercent" >= {LO} '
         f'AND "onePercent" <= {HI}',
     ),
@@ -141,10 +137,7 @@ EXPRESSIONS: list[BenchExpression] = [
         12,
         "Join & Count",
         "scalar",
-        lambda df, df2: len(
-            pd.merge(df, df2, left_on="unique1", right_on="unique1")
-        ),
-        lambda pf, pf2: len(pf.merge(pf2, left_on="unique1", right_on="unique1")),
+        lambda df, df2: len(df.merge(df2, left_on="unique1", right_on="unique1")),
         'SELECT COUNT(*) AS v FROM data l JOIN data2 r ON l."unique1" = r."unique1"',
     ),
     BenchExpression(
@@ -152,7 +145,6 @@ EXPRESSIONS: list[BenchExpression] = [
         "Count Missing Value",
         "scalar",
         lambda df, df2: len(df[df["tenPercent"].isna()]),
-        lambda pf, pf2: len(pf[pf["tenPercent"].isna()]),
         'SELECT COUNT(*) AS v FROM data WHERE "tenPercent" IS NULL',
     ),
 ]

@@ -108,20 +108,24 @@ def timed(fn: Callable[[], object]) -> tuple[float, object]:
     return time.perf_counter() - t0, result
 
 
-def _best_of(fn: Callable[[], object]) -> float:
-    """Minimum wall-clock over :data:`REPEATS` runs."""
-    return min(timed(fn)[0] for _ in range(REPEATS))
+def _time_expressions(
+    frames: tuple, system: str, dataset: str, n_records: int, creation_s: float
+) -> list[TimingRow]:
+    """Each expression's best time over :data:`REPEATS` runs on ``frames``."""
+    return [
+        TimingRow(
+            e.id, e.name, system, dataset, n_records, creation_s,
+            min(timed(lambda: e.poly_fn(*frames))[0] for _ in range(REPEATS)),
+        )
+        for e in EXPRESSIONS
+    ]
 
 
 def run_pandas(json_path: str | Path, dataset: str, n_records: int) -> list[TimingRow]:
     """Pandas baseline: creation = pd.read_json (paper Appendix D)."""
     creation_s, df = timed(lambda: pd.read_json(json_path, orient="records", lines=True))
-    df2 = df  # expression 12 joins "two identical datasets"
-    rows = []
-    for e in EXPRESSIONS:
-        expr_s = _best_of(lambda: e.pandas_fn(df, df2))
-        rows.append(TimingRow(e.id, e.name, "pandas", dataset, n_records, creation_s, expr_s))
-    return rows
+    # expression 12 joins "two identical datasets"
+    return _time_expressions((df, df), "pandas", dataset, n_records, creation_s)
 
 
 def run_polyframe(
@@ -130,11 +134,7 @@ def run_polyframe(
     """PolyFrame on one backend: creation = frame construction (q1 only)."""
     creation_s, pf = timed(lambda: PolyFrame(NAMESPACE, COLLECTION, connector))
     pf2 = PolyFrame(NAMESPACE, COLLECTION2, connector)
-    rows = []
-    for e in EXPRESSIONS:
-        expr_s = _best_of(lambda: e.poly_fn(pf, pf2))
-        rows.append(TimingRow(e.id, e.name, system, dataset, n_records, creation_s, expr_s))
-    return rows
+    return _time_expressions((pf, pf2), system, dataset, n_records, creation_s)
 
 
 def run_sweep(

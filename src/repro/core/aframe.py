@@ -48,9 +48,6 @@ _MAP_RULES: dict[object, str] = {
     str.upper: "upper",
     str.lower: "lower",
     abs: "abs",
-    "upper": "upper",
-    "lower": "lower",
-    "abs": "abs",
 }
 
 #: ``astype`` targets -> rewrite-rule key
@@ -60,6 +57,12 @@ _ASTYPE_RULES: dict[object, str] = {int: "to_int", str: "to_str", "int": "to_int
 #: formed is wrapped by the ``group`` rule when its operator is one too, so
 #: ``(a == b) == (b > 0)`` is not read as ``a = b = b > 0``.
 _COMPARISONS = frozenset(("eq", "ne", "gt", "lt", "ge", "le", "is_missing", "not_missing"))
+
+#: An operand that one of these rules formed is a boolean: the ``to_int``
+#: rule casts it under arithmetic, so ``(a == b) + 1`` adds 0 or 1 as in
+#: pandas and is not read as ``a = b + 1``.
+_BOOLEANS = _COMPARISONS | {"and", "or", "not"}
+_ARITHMETIC = frozenset(("add", "sub", "mul", "div", "mod"))
 
 #: ``other`` of a unary derivation (``None`` is the NULL literal)
 _UNARY = object()
@@ -343,22 +346,25 @@ class PolyFrameColumn(PolyFrame):
         Raises ``ValueError`` if ``other`` is a column of another frame.
         """
 
-        def grouped(column: PolyFrameColumn) -> str:
+        def operand(column: PolyFrameColumn, text: str) -> str:
+            if rule in _ARITHMETIC and column.rule in _BOOLEANS:
+                return self.rules.apply("to_int", statement=text)
             if rule in _COMPARISONS and column.rule in _COMPARISONS:
-                return self.rules.apply("group", statement=column.expr)
-            return column.expr
+                return self.rules.apply("group", statement=text)
+            return text
 
         variables = {}
         if isinstance(other, PolyFrameColumn):
             self._check_frame(other, self.base_query)
-            variables["right"] = grouped(other)
+            variables["right"] = operand(other, other.expr)
         elif other is not _UNARY:
             variables["right"] = self.rules.literal(_native(other))
 
-        def form(operand: str) -> str:
-            return self.rules.apply(rule, left=operand, statement=operand, **variables)
+        def form(text: str) -> str:
+            left = operand(self, text)
+            return self.rules.apply(rule, left=left, statement=left, **variables)
 
-        expr = form(grouped(self))
+        expr = form(self.expr)
         if isinstance(other, PolyFrameColumn):
             subquery, statement = self.base_query, expr
         else:
@@ -396,7 +402,7 @@ class PolyFrameColumn(PolyFrame):
         return self._derive("not_missing")
 
     # scalar functions
-    def map(self, func: Callable | str) -> "PolyFrameColumn":
+    def map(self, func: Callable) -> "PolyFrameColumn":
         """Apply a supported scalar function (e.g. ``str.upper``) through
         the language's FUNCTIONS rules (paper's benchmark expression 5)."""
         rule = _MAP_RULES.get(func)

@@ -1,8 +1,9 @@
 """Table III registry + timing-harness tests.
 
 The registry is the single source of truth that tests, jobs and
-``perfbench`` share; its three forms (pandas / PolyFrame / oracle SQL) must agree
-with each other and with the paper's Table III inventory.
+``perfbench`` share. Each expression is one pandas expression, which runs
+unchanged on pandas frames and on PolyFrames, plus its oracle SQL; the two
+must agree with each other and with the paper's Table III inventory.
 """
 from __future__ import annotations
 

@@ -205,6 +205,10 @@ CHAINS = {
     "isna-computed-filter": lambda f: len(f[(f["tenPercent"] + 1).notna()]),
     # a comparison of comparisons: `a = b = c > 1` parses in no SQL backend
     "compare-compare": lambda f: len(f[(f["ten"] == f["two"]) == (f["four"] > 1)]),
+    # arithmetic over a boolean adds it as 0/1; unwrapped, `a = b + 1` compares a with b + 1
+    "compare-arith": lambda f: (f["ten"] == f["two"]) + 1,
+    "compare-literal-arith": lambda f: (f["ten"] > 3) * 2,
+    "filter-compare-arith": lambda f: len(f[(f["ten"] == f["two"]) + 1 > 1]),
 }
 
 #: after a ``map``, SQL++ ``SELECT VALUE`` drops the column name, so a
@@ -303,8 +307,9 @@ class TestColumnActions:
             spf["unique1"].agg("median")
 
     def test_unsupported_map(self, spf):
-        with pytest.raises(ValueError, match="unsupported map"):
-            spf["unique1"].map(len)
+        for func in (len, "upper"):
+            with pytest.raises(ValueError, match="unsupported map"):
+                spf["unique1"].map(func)
 
     def test_map_lower(self, spf, wdata):
         got = spf["string4"].map(str.lower).head(3)
