@@ -45,22 +45,15 @@ class DuckDBConnector(DBConnector):
         )
         self.con.unregister("_polyframe_staging")
 
-    def _bound(self, namespace: str, collection: str) -> "duckdb.DuckDBPyRelation":
-        """``namespace.collection`` bound as a query that reads no row.
+    def initialize(self, namespace: str, collection: str) -> None:
+        """Bind ``namespace.collection`` in a query that reads no row.
         Binding resolves tables and views alike, and matches names without
         regard to case, as every query on them does."""
         table = f"{_quoted(namespace)}.{_quoted(collection)}"
         try:
-            return self.con.sql(f"SELECT * FROM {table} LIMIT 0")
+            self.con.sql(f"SELECT * FROM {table} LIMIT 0")
         except duckdb.CatalogException:
             raise DatasetNotRegistered(f"{namespace}.{collection}") from None
 
-    def initialize(self, namespace: str, collection: str) -> None:
-        self._bound(namespace, collection)
-
     def send_query(self, query: str, namespace: str, collection: str) -> pd.DataFrame:
         return self.con.execute(query).fetchdf()
-
-    def get_columns(self, namespace: str, collection: str) -> list[tuple[str, str]]:
-        bound = self._bound(namespace, collection)
-        return [(c, str(t)) for c, t in zip(bound.columns, bound.types)]

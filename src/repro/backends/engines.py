@@ -11,12 +11,12 @@ call, then ``toPandas``.
 
 All three subclass :class:`~repro.backends.spark.SparkConnector`, so they
 share its registration (one temp view per ``namespace.collection``, held in
-the session's registry), initialization and schema introspection. The
-Mongo and Cypher engines are built from their connector and ask it through
-the same contract: ``initialize`` rejects an unknown collection or label,
-and ``get_columns`` gives Mongo a collection's columns as they are now. A
-Mongo ``$lookup.from`` or a Cypher label resolves in the namespace of the
-action.
+the session's registry) and initialization. The Mongo and Cypher engines
+are built from their connector and ask it: ``initialize`` rejects an
+unknown collection or label, and Mongo alone also reads a collection's
+columns as they are now through ``SparkConnector.get_columns``, which is
+not part of the connector contract. A Mongo ``$lookup.from`` or a Cypher
+label resolves in the namespace of the action.
 """
 from __future__ import annotations
 

@@ -5,8 +5,8 @@ temporary views. A dataset ``namespace.collection`` is registered as the
 temp view ``{namespace}_{collection}`` (Spark temp views live in a flat
 namespace), which is exactly the name the ``sparksql.ini`` q1 rule forms.
 :class:`SparkConnector` is the base of every Spark-backed connector (see
-``repro.backends.engines``): they share its registration, initialization
-and schema introspection, and one registry per session of the dataset
+``repro.backends.engines``): they share its registration and
+initialization, and one registry per session of the dataset
 that holds each temp view; each runs an action as one ``spark.sql`` call
 on Spark SQL text. The session's catalog is the only store of a view's
 schema.
@@ -149,7 +149,8 @@ class SparkConnector(DBConnector):
         return self.spark.sql(query).toPandas()
 
     def get_columns(self, namespace: str, collection: str) -> list[tuple[str, str]]:
-        """The view's columns as they are now, from one catalog read."""
+        """The view's columns as they are now, from one catalog read; the
+        Mongo compiler scans a collection with them."""
         view = self._catalog.getTempView(self._view(namespace, collection))
         if not view.isDefined():
             raise DatasetNotRegistered(f"{namespace}.{collection}")

@@ -33,6 +33,3 @@ class RecordingConnector(DBConnector):
     @property
     def last_query(self) -> str:
         return self.queries[-1]
-
-    def get_columns(self, namespace: str, collection: str) -> list[tuple[str, str]]:
-        return []

@@ -64,20 +64,13 @@ _COMPARISONS = frozenset(("eq", "ne", "gt", "lt", "ge", "le", "is_missing", "not
 _BOOLEANS = _COMPARISONS | {"and", "or", "not"}
 _ARITHMETIC = frozenset(("add", "sub", "mul", "div", "mod"))
 
+#: Arithmetic of two boolean operands, as in pandas: ``+`` is a logical or
+#: and ``*`` a logical and; ``-`` and ``/`` raise (``None``). ``%`` is not
+#: here: it casts both operands to 0/1.
+_BOOLEAN_ARITHMETIC = {"add": "or", "mul": "and", "sub": None, "div": None}
+
 #: ``other`` of a unary derivation (``None`` is the NULL literal)
 _UNARY = object()
-
-#: ``_columns`` of a frame with all of its dataset's columns: q1 and its
-#: filters and sorts. A projection holds its names; ``None`` marks columns
-#: that formation cannot tell (a join, a group-by, a computed column).
-_DATASET_COLUMNS = object()
-
-_NUMERIC_DTYPE_MARKERS = ("int", "long", "float", "double", "decimal", "real")
-
-
-def _is_numeric_dtype(dtype: str) -> bool:
-    d = dtype.lower()
-    return any(m in d for m in _NUMERIC_DTYPE_MARKERS)
 
 
 def _native(value: object) -> object:
@@ -105,7 +98,6 @@ class PolyFrame:
         collection: str,
         connector: DBConnector,
         _query: str | None = None,
-        _columns: object = _DATASET_COLUMNS,
     ):
         self.namespace = namespace
         self.collection = collection
@@ -119,7 +111,6 @@ class PolyFrame:
                 "q1", namespace=namespace, collection=collection
             )
         self.query = _query
-        self._columns = _columns
 
     @property
     def rules(self) -> RewriteRules:
@@ -129,16 +120,14 @@ class PolyFrame:
     # ------------------------------------------------------------------
     # plumbing
     # ------------------------------------------------------------------
-    def _frame(self, query: str, columns: object = None) -> "PolyFrame":
-        return PolyFrame(
-            self.namespace, self.collection, self.connector, _query=query, _columns=columns
-        )
+    def _frame(self, query: str) -> "PolyFrame":
+        return PolyFrame(self.namespace, self.collection, self.connector, _query=query)
 
-    def _column(self, query: str, columns: object = None, **state) -> "PolyFrameColumn":
+    def _column(self, query: str, **state) -> "PolyFrameColumn":
         """A column of this frame's dataset; ``state`` is its ``expr``,
         ``name``, ``base_query`` and ``rule``."""
         return PolyFrameColumn(
-            self.namespace, self.collection, self.connector, _query=query, _columns=columns, **state
+            self.namespace, self.collection, self.connector, _query=query, **state
         )
 
     def _check_frame(self, column: "PolyFrameColumn", base_query: str | None = None) -> None:
@@ -192,27 +181,15 @@ class PolyFrame:
             # selection: pf[bool_col] — composed over THIS frame's query,
             # with the column's raw predicate (Table I footnote 1).
             self._check_frame(key)
-            return self._frame(
-                self.rules.apply("q6", subquery=self.query, statement=key.expr),
-                self._columns,
-            )
+            return self._frame(self.rules.apply("q6", subquery=self.query, statement=key.expr))
         if isinstance(key, str):
             proj = self.rules.apply("proj_attr", attribute=key)
             query = self.rules.apply("q2", subquery=self.query, attribute_alias=proj)
             expr = self.rules.apply("single_attribute", attribute=key)
-            return self._column(
-                query, expr=expr, name=key, base_query=self.query, columns=(key,)
-            )
+            return self._column(query, expr=expr, name=key, base_query=self.query)
         if isinstance(key, (list, tuple)):
-            items = [self.rules.apply("proj_attr", attribute=a) for a in key]
-            return self._frame(
-                self.rules.apply(
-                    "q2",
-                    subquery=self.query,
-                    attribute_alias=self.rules.join_items(items),
-                ),
-                tuple(key),
-            )
+            items = self.rules.join_items([self.rules.apply("proj_attr", attribute=a) for a in key])
+            return self._frame(self.rules.apply("q2", subquery=self.query, attribute_alias=items))
         raise TypeError(f"unsupported key type: {type(key).__name__}")
 
     def sort_values(self, by: str, ascending: bool = True) -> "PolyFrame":
@@ -221,7 +198,7 @@ class PolyFrame:
         # q5 sorts ascending by its $sort_asc_attr, q4 descending
         rule, query = ("sort_asc_attr", "q5") if ascending else ("sort_desc_attr", "q4")
         attr = {rule: self.rules.apply(rule, attribute=by)}
-        return self._frame(self.rules.apply(query, subquery=self.query, **attr), self._columns)
+        return self._frame(self.rules.apply(query, subquery=self.query, **attr))
 
     def groupby(self, by: str | list[str]) -> "PolyFrameGroupBy":
         attrs = [by] if isinstance(by, str) else list(by)
@@ -271,19 +248,15 @@ class PolyFrame:
         return int(result.iloc[0, 0])
 
     def _numeric_columns(self) -> list[str]:
-        """This frame's columns that its dataset's schema types as numeric."""
-        if self._columns is None:
-            raise ValueError(
-                "describe() cannot tell this frame's columns; pass `columns`"
-            )
-        dtypes = dict(self.connector.get_columns(self.namespace, self.collection))
-        names = dtypes if self._columns is _DATASET_COLUMNS else self._columns
-        unknown = [c for c in names if c not in dtypes]
-        if unknown:
-            raise ValueError(
-                f"describe() cannot tell the types of {unknown}; pass `columns`"
-            )
-        numeric = [c for c in names if _is_numeric_dtype(dtypes[c])]
+        """The columns of this frame's result that pandas describes: those
+        of a numeric dtype other than bool, read from ``head(1)``."""
+        dtypes = self.head(1).dtypes
+        if dtypes.index.has_duplicates:
+            raise ValueError("describe() cannot tell apart columns of one name")
+        numeric = [
+            c for c, t in dtypes.items()
+            if pd.api.types.is_numeric_dtype(t) and not pd.api.types.is_bool_dtype(t)
+        ]
         if not numeric:
             raise ValueError("describe() found no numeric column to describe")
         return numeric
@@ -294,10 +267,10 @@ class PolyFrame:
         with ``attribute_separator``, then folded through q8. Returns a
         pandas-describe-shaped frame (stats × attributes).
 
-        Without ``columns`` it describes the frame's own numeric columns,
-        typed by the dataset's schema. Raises ``ValueError`` if formation
-        cannot tell them (a join, a group-by, a computed column) or there
-        are none.
+        Without ``columns`` it describes the numeric columns that
+        ``toPandas()`` would return, as pandas does, at the cost of one
+        ``head(1)`` action. Raises ``ValueError`` if two of that result's
+        columns share a name or none is numeric.
         """
         if columns is None:
             columns = self._numeric_columns()
@@ -343,8 +316,19 @@ class PolyFrameColumn(PolyFrame):
         over the frame; the value query over the frame if ``other`` is a
         column, else over this column's own query, by name.
 
-        Raises ``ValueError`` if ``other`` is a column of another frame.
+        Raises ``ValueError`` if ``other`` is a column of another frame, and
+        ``TypeError`` for ``-`` or ``/`` of two boolean operands, as pandas.
         """
+        if isinstance(other, PolyFrameColumn):
+            self._check_frame(other, self.base_query)
+            boolean = other.rule in _BOOLEANS
+        else:
+            other = _native(other)
+            boolean = isinstance(other, bool)
+        if rule in _BOOLEAN_ARITHMETIC and boolean and self.rule in _BOOLEANS:
+            if _BOOLEAN_ARITHMETIC[rule] is None:
+                raise TypeError(f"pandas cannot {rule} two boolean operands")
+            rule = _BOOLEAN_ARITHMETIC[rule]
 
         def operand(column: PolyFrameColumn, text: str) -> str:
             if rule in _ARITHMETIC and column.rule in _BOOLEANS:
@@ -355,10 +339,11 @@ class PolyFrameColumn(PolyFrame):
 
         variables = {}
         if isinstance(other, PolyFrameColumn):
-            self._check_frame(other, self.base_query)
             variables["right"] = operand(other, other.expr)
         elif other is not _UNARY:
-            variables["right"] = self.rules.literal(_native(other))
+            # under arithmetic a boolean literal is its 0/1, as in pandas
+            value = int(other) if rule in _ARITHMETIC and boolean else other
+            variables["right"] = self.rules.literal(value)
 
         def form(text: str) -> str:
             left = operand(self, text)

@@ -2,9 +2,13 @@
 
 The paper's connector is "an abstract class in AFrame that makes
 connections to database engines" with three required responsibilities:
-AFrame/PolyFrame **initialization** (verifying the target dataset exists),
-**pre-processing** of queries before sending them, and **post-processing**
-of query results — which are always returned as a pandas DataFrame.
+AFrame/PolyFrame **initialization** (``initialize``: verifying the target
+dataset exists), **pre-processing** of queries before sending them
+(``preprocess``), and **post-processing** of query results
+(``postprocess``) — which are always returned as a pandas DataFrame.
+``send_query`` runs the prepared text and ``execute`` chains the three; the
+core asks a connector for nothing else (``describe()`` reads a frame's
+columns from its own result, not from a schema).
 
 Concrete connectors live in :mod:`repro.backends`; each one also carries
 the default :class:`~repro.core.rewrite.RewriteRules` for its language, so
@@ -28,8 +32,9 @@ class DBConnector(ABC):
 
     Subclasses set :attr:`language` (the name of a bundled language config)
     and implement :meth:`initialize` and :meth:`send_query`. Overriding
-    :meth:`preprocess` / :meth:`postprocess` is optional — exactly the
-    three-method contract the paper describes for adding a new backend.
+    :meth:`preprocess` / :meth:`postprocess` is optional. That is the whole
+    contract: the three methods the paper describes for adding a new
+    backend.
     """
 
     #: Name of the bundled language configuration this connector speaks.
@@ -70,12 +75,3 @@ class DBConnector(ABC):
         """preprocess → send → postprocess. The single action entry point."""
         prepared = self.preprocess(query, namespace, collection)
         return self.postprocess(self.send_query(prepared, namespace, collection))
-
-    # -- optional schema introspection (needed by describe/get_dummies) --
-    def get_columns(self, namespace: str, collection: str) -> list[tuple[str, str]]:
-        """``[(column, dtype), ...]`` of a registered dataset; raises
-        :class:`DatasetNotRegistered` for an unknown one, as
-        :meth:`initialize` does."""
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support schema introspection"
-        )

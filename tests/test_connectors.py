@@ -13,10 +13,14 @@ import pandas as pd
 import pytest
 
 from repro.bench.expressions import EXPRESSIONS
+from repro.bench.harness import BACKENDS
 from repro.core import DatasetNotRegistered, DBConnector, PolyFrame
 from repro.core.connector import DBConnector as ABCConnector
 from repro.wisconsin.generator import wisconsin_pdf
 from tests.conftest import polyframes
+
+#: the connectors with ``get_columns``: the Mongo compiler scans with it
+SPARK_BACKENDS = [b for b in BACKENDS if b != "sql"]
 
 
 class TestContract:
@@ -35,6 +39,7 @@ class TestContract:
         name, conn = backend
         assert conn.rules.meta("language") == conn.language == name
 
+    @pytest.mark.parametrize("backend", SPARK_BACKENDS, indirect=True)
     def test_get_columns_reports_schema(self, backend, wdata):
         from repro.bench.harness import COLLECTION, NAMESPACE
 
@@ -208,6 +213,7 @@ class TestSparkInputs:
 
 
 class TestUnknownDataset:
+    @pytest.mark.parametrize("backend", SPARK_BACKENDS, indirect=True)
     def test_get_columns_raises_dataset_not_registered(self, backend):
         # the typed error of initialize, not the backend's own
         _, conn = backend

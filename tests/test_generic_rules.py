@@ -9,9 +9,30 @@ from __future__ import annotations
 import pandas as pd
 import pytest
 
+from repro.bench.harness import BACKENDS
 from tests.conftest import polyframes
 
 NUMERIC_SUBSET = ["unique1", "two", "onePercent"]
+
+#: frame name -> a frame of the two benchmark frames, for ``describe()``
+DESCRIBED = {
+    "dataset": lambda pf, pf2: pf,
+    "projection": lambda pf, pf2: pf[["ten", "stringu1", "two"]],
+    "filtered-column": lambda pf, pf2: pf[pf["two"] == 1]["ten"],
+    "computed-column": lambda pf, pf2: pf["ten"] + 1,
+    "group-by": lambda pf, pf2: pf.groupby("four")["ten"].agg("max"),
+    "get-dummies": lambda pf, pf2: pf["four"].get_dummies(),
+    "merge": lambda pf, pf2: pf.merge(pf2, on="unique1"),
+    "string-column": lambda pf, pf2: pf["stringu1"],
+}
+
+#: (frame, backend) whose ``toPandas()`` has no numeric column of a unique
+#: name: a string column; a sparksql join's ``l.*, r.*`` repeats every name,
+#: and a SQL++ join returns the structs ``l`` and ``r``
+UNDESCRIBABLE = {("string-column", b) for b in BACKENDS} | {
+    ("merge", "sparksql"),
+    ("merge", "sqlpp"),
+}
 
 
 class TestDescribe:
@@ -56,26 +77,25 @@ class TestDescribe:
         assert "unique1" in d.columns
         assert "stringu1" not in d.columns  # strings are not described
 
-    def test_describe_projection_matches_pandas(self, backend, wdata):
-        # the frame's own numeric columns, not the dataset's
-        _, conn = backend
-        pf, _ = polyframes(conn)
+    def test_describe_projection_matches_pandas(self, backend):
+        # describe() of any frame describes the non-bool numeric columns of
+        # its own toPandas(), as pandas does, or raises ValueError when
+        # their names repeat or there are none
+        name, conn = backend
         ddof = 1 if conn.rules.meta("std_kind") == "sample" else 0
-        for got, want in (
-            (pf[["ten", "stringu1", "two"]].describe(), wdata[["ten", "two"]]),
-            (pf[pf["two"] == 1]["ten"].describe(), wdata[wdata["two"] == 1][["ten"]]),
-        ):
-            assert list(got.columns) == list(want.columns)
+        for frame, make in DESCRIBED.items():
+            pf = make(*polyframes(conn))
+            want = pf.toPandas().select_dtypes("number")
+            if (frame, name) in UNDESCRIBABLE:
+                assert want.columns.has_duplicates or want.columns.empty, frame
+                with pytest.raises(ValueError):
+                    pf.describe()
+                continue
+            got = pf.describe()
+            assert list(got.columns) == list(want.columns), frame
             stats = [want.count(), want.mean(), want.std(ddof=ddof)]
             stats += [want.min(), want.max()]
-            assert got.to_numpy() == pytest.approx(pd.DataFrame(stats).to_numpy())
-
-    def test_describe_unknown_columns_raises(self, backend):
-        _, conn = backend
-        pf, pf2 = polyframes(conn)
-        for frame in (pf.merge(pf2, on="unique1"), pf["ten"] + 1, pf["stringu1"]):
-            with pytest.raises(ValueError):
-                frame.describe()
+            assert got.to_numpy() == pytest.approx(pd.DataFrame(stats).to_numpy()), frame
 
     def test_describe_is_single_query(self, backend):
         name, conn = backend

@@ -209,6 +209,11 @@ CHAINS = {
     "compare-arith": lambda f: (f["ten"] == f["two"]) + 1,
     "compare-literal-arith": lambda f: (f["ten"] > 3) * 2,
     "filter-compare-arith": lambda f: len(f[(f["ten"] == f["two"]) + 1 > 1]),
+    # of two booleans numpy's + is a logical or and * a logical and; a
+    # boolean literal adds as 0/1, and SQL has no BIGINT + BOOLEAN
+    "compare-add-compare": lambda f: (f["ten"] == f["two"]) + (f["ten"] > 3),
+    "compare-mul-compare": lambda f: (f["ten"] > 3) * (f["two"] == 1),
+    "arith-bool-literal": lambda f: f["ten"] + True,
 }
 
 #: after a ``map``, SQL++ ``SELECT VALUE`` drops the column name, so a
@@ -217,11 +222,12 @@ SQLPP_LEFT_OUT = {"map-arith", "map-map", "map-max"}
 
 
 def _values(result):
-    """A chain's result in comparable form: a column's sorted values."""
+    """A chain's result in comparable form: whether a column is boolean
+    (0 and 1 equal False and True in Python), and its sorted values."""
     if isinstance(result, PolyFrameColumn):
         result = result.toPandas().iloc[:, 0]
     if isinstance(result, pd.Series):
-        return sorted(result.tolist())
+        return result.dtype == bool, sorted(result.tolist())
     return result
 
 
@@ -275,6 +281,21 @@ class TestChainedColumns:
         pf, pf2 = PolyFrame("T", "a", conn), PolyFrame("T", "b", conn)
         with pytest.raises(ValueError, match="different frames"):
             op(pf["x"], pf2["x"])
+
+    @pytest.mark.parametrize("language", BACKENDS)
+    @pytest.mark.parametrize("op", [operator.sub, operator.truediv])
+    @pytest.mark.parametrize("right", ["column", "literal"])
+    def test_boolean_difference_or_quotient_raises(self, language, op, right, wdata):
+        # pandas raises TypeError for - and NotImplementedError for / of two
+        # booleans; formation raises TypeError for both
+        def other(f):
+            return f["two"] == 1 if right == "column" else True
+
+        with pytest.raises((TypeError, NotImplementedError)):
+            op(wdata["ten"] > 3, other(wdata))
+        pf = PolyFrame("T", "a", RecordingConnector(language))
+        with pytest.raises(TypeError, match="two boolean operands"):
+            op(pf["ten"] > 3, other(pf))
 
     @pytest.mark.parametrize("language", BACKENDS)
     def test_filter_key_of_another_dataset_raises(self, language):
