@@ -321,11 +321,11 @@ class PolyFrameColumn(PolyFrame):
         """
         if isinstance(other, PolyFrameColumn):
             self._check_frame(other, self.base_query)
-            boolean = other.rule in _BOOLEANS
+            other_boolean = other.rule in _BOOLEANS
         else:
             other = _native(other)
-            boolean = isinstance(other, bool)
-        if rule in _BOOLEAN_ARITHMETIC and boolean and self.rule in _BOOLEANS:
+            other_boolean = isinstance(other, bool)
+        if rule in _BOOLEAN_ARITHMETIC and other_boolean and self.rule in _BOOLEANS:
             if _BOOLEAN_ARITHMETIC[rule] is None:
                 raise TypeError(f"pandas cannot {rule} two boolean operands")
             rule = _BOOLEAN_ARITHMETIC[rule]
@@ -342,7 +342,7 @@ class PolyFrameColumn(PolyFrame):
             variables["right"] = operand(other, other.expr)
         elif other is not _UNARY:
             # under arithmetic a boolean literal is its 0/1, as in pandas
-            value = int(other) if rule in _ARITHMETIC and boolean else other
+            value = int(other) if rule in _ARITHMETIC and other_boolean else other
             variables["right"] = self.rules.literal(value)
 
         def form(text: str) -> str:
