@@ -14,7 +14,7 @@ share its registration (one temp view per ``namespace.collection``, held in
 the session's registry) and initialization. The Mongo and Cypher engines
 are built from their connector and ask it: ``initialize`` rejects an
 unknown collection or label, and Mongo alone also reads a collection's
-columns as they are now through ``SparkConnector.get_columns``, which is
+column names as they are now through ``SparkConnector.get_columns``, which is
 not part of the connector contract. A Mongo ``$lookup.from`` or a Cypher
 label resolves in the namespace of the action.
 """

@@ -32,7 +32,6 @@ import weakref
 
 import pandas as pd
 from pyspark.sql import DataFrame as SparkDataFrame, SparkSession
-from pyspark.sql.types import StructType
 
 from repro.core.connector import DatasetNotRegistered, DBConnector
 from repro.core.rewrite import RewriteRules
@@ -148,11 +147,11 @@ class SparkConnector(DBConnector):
     def send_query(self, query: str, namespace: str, collection: str) -> pd.DataFrame:
         return self.spark.sql(query).toPandas()
 
-    def get_columns(self, namespace: str, collection: str) -> list[tuple[str, str]]:
-        """The view's columns as they are now, from one catalog read; the
-        Mongo compiler scans a collection with them."""
+    def get_columns(self, namespace: str, collection: str) -> list[str]:
+        """The view's column names as they are now, from one catalog read;
+        the Mongo compiler scans a collection with them."""
         view = self._catalog.getTempView(self._view(namespace, collection))
         if not view.isDefined():
             raise DatasetNotRegistered(f"{namespace}.{collection}")
-        schema = StructType.fromJson(json.loads(view.get().schema().json()))
-        return [(f.name, f.dataType.simpleString()) for f in schema.fields]
+        # one JVM call: a JavaArray from fieldNames() costs a call per column
+        return [f["name"] for f in json.loads(view.get().schema().json())["fields"]]

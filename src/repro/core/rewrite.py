@@ -54,6 +54,12 @@ KNOWN_VARIABLES = frozenset(
 )
 
 
+#: A control character: the ``backslash`` style writes it as ``\u00XX``,
+#: which JSON, Spark SQL, SQL++ and Cypher all read back, so no literal
+#: holds a raw line break.
+_CONTROL_RE = re.compile(r"[\x00-\x1f]")
+
+
 def _variable_re(names) -> re.Pattern:  # ``$name`` for any of ``names``, longest first
     return re.compile(r"\$(" + "|".join(sorted(names, key=len, reverse=True)) + ")")
 
@@ -188,8 +194,9 @@ class RewriteRules:
             quote, style = self.meta("string_quote"), self.meta("string_escape")
             if style == "doubled":  # standard SQL: 'it''s', a backslash is plain
                 escaped = value.replace(quote, quote * 2)
-            elif style == "backslash":  # 'it\'s', 'a\\b'
+            elif style == "backslash":  # 'it\'s', 'a\\b', a line break as '\u000A'
                 escaped = value.replace("\\", "\\\\").replace(quote, "\\" + quote)
+                escaped = _CONTROL_RE.sub(lambda m: f"\\u{ord(m[0]):04X}", escaped)
             else:
                 raise ValueError(f"unknown string_escape {style!r} in [META]")
             if value.startswith("$") and self.has("dollar_str_literal"):

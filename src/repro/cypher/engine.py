@@ -10,13 +10,17 @@ path runs end-to-end offline (DESIGN.md §2) and is planned by Catalyst.
 It accepts the forms that ``cypher.ini``'s rules emit, and raises
 :class:`CypherEngineError` for any other.
 
-Compilation model: each clause becomes one ``SELECT`` over the query so
-far, bound to the SQL table alias ``t`` as ``(...) t``, so a Cypher
-property ``t.x`` is the Spark SQL column ``t.x`` as written. Clauses:
+Compilation model: the query splits into clauses at each line that starts
+with ``MATCH``, ``WITH`` or ``RETURN``, and each clause is read by one
+pattern. The first clause must be ``MATCH (t: Label)`` and the last
+``RETURN``; each clause between them becomes one ``SELECT`` over the query
+so far, bound to the SQL table alias ``t`` as ``(...) t``, so a Cypher
+property ``t.x`` is the Spark SQL column ``t.x`` as written. A clause
+keeps the line breaks the rules write, and only those. Clauses:
 
 * ``MATCH (t: Label)``               — the registered label's view, as ``t``
-* ``MATCH (r: Label)``               — bind a second node (paper's join,
-  q10); the ``WHERE t.a = r.b`` that must follow it turns the conceptual
+* ``MATCH (r: Label)`` and, on the next line, ``WHERE t.a = r.b`` — bind a
+  second node (paper's join, q10): the WHERE turns the conceptual
   cartesian product into an equi-join (what Neo4j's planner does for such
   patterns), with the label's view as ``r``
 * ``WITH t`` / ``WITH t WHERE p`` / ``WITH t ORDER BY e [DESC]``
@@ -25,13 +29,18 @@ property ``t.x`` is the Spark SQL column ``t.x`` as written. Clauses:
   computes, its key always quoted)
 * ``WITH {items} AS t``              — aggregation with Cypher's implicit
   grouping: non-aggregate items are the grouping keys
-* ``RETURN t`` / ``RETURN COUNT(*) AS t`` / ``LIMIT n``
+* ``RETURN t`` / ``RETURN COUNT(*) AS t``, then ``LIMIT n`` on a line of
+  its own
+
+A string literal holds no line break: the rules write a control character
+as ``\\u00XX`` (``RewriteRules.literal``).
 
 Leaf expressions keep their ``t.``/``r.`` references; only functions are
-translated (``stDevP``→``stddev_pop``, ``apoc.convert.toInteger``→``CAST``),
-never inside string literals. Compiling keeps no column list: Spark
-resolves ``t.x``, ``r.x`` and ``*`` against the views as they are when the
-query is analyzed. Each label is checked by the ``initialize`` of the
+renamed, to the Spark SQL function of the same call shape (``stDevP``→
+``stddev_pop``, ``apoc.convert.toInteger``/``toString``→ the cast
+functions ``int``/``string``), never inside string literals. Compiling
+keeps no column list: Spark resolves ``t.x``, ``r.x`` and ``*`` against the
+views as they are when the query is analyzed. Each label is checked by the ``initialize`` of the
 connector the engine serves, which reads the catalog only for a label the
 session's registry does not hold yet.
 """
@@ -43,9 +52,24 @@ from pyspark.sql import DataFrame
 
 from repro.backends.spark import SparkConnector, view_name
 from repro.core.connector import DatasetNotRegistered
-from repro.translate import outside_literals, quote_ident as q, replace_call
+from repro.translate import outside_literals, quote_ident as q
 
 _AGG_HEAD_RE = re.compile(r"^\s*(min|max|avg|count|stddev_pop)\s*\(", re.IGNORECASE)
+#: A clause starts at each line that starts with MATCH, WITH or RETURN, so a
+#: join's WHERE line and a LIMIT line belong to the clause above them. The
+#: clause patterns write each line break as ``\n``; ``.`` matches none.
+_CLAUSE_START_RE = re.compile(r"\n(?=(?:MATCH|WITH|RETURN)\b)")
+_ANCHOR_RE = re.compile(r"MATCH \(t: (\w+)\)")
+_JOIN_RE = re.compile(r"MATCH \(r: (\w+)\)\nWHERE (.+)")
+_WITH_RE = re.compile(r"WITH (.+)")
+_RETURN_RE = re.compile(r"RETURN (.+)(?:\nLIMIT (\d+))?")
+#: Cypher function -> the Spark SQL function of the same call shape
+_FUNCTIONS = {
+    "apoc.convert.toInteger": "int",
+    "apoc.convert.toString": "string",
+    "stDevP": "stddev_pop",
+}
+_FUNCTION_RE = re.compile(r"\b(" + "|".join(map(re.escape, _FUNCTIONS)) + r")\s*\(")
 
 
 class CypherEngineError(ValueError):
@@ -55,9 +79,14 @@ class CypherEngineError(ValueError):
 def _split_top_level(text: str) -> list[str]:
     """Split on commas outside quotes/parens/braces/brackets."""
     parts, depth, quote, start = [], 0, None, 0
+    escaped = False  # the character before was a backslash inside quotes
     for i, ch in enumerate(text):
-        if quote:
-            if ch == quote:
+        if escaped:
+            escaped = False
+        elif quote:
+            if ch == "\\":
+                escaped = True
+            elif ch == quote:
                 quote = None
         elif ch in "'\"`":
             quote = ch
@@ -72,15 +101,12 @@ def _split_top_level(text: str) -> list[str]:
     return [p.strip() for p in parts if p.strip()]
 
 
-def _translate(expr: str) -> str:
-    out = replace_call(expr, "apoc.convert.toInteger", "CAST({0} AS INT)")
-    out = replace_call(out, "apoc.convert.toString", "CAST({0} AS STRING)")
-    return re.sub(r"\bstDevP\s*\(", "stddev_pop(", out)
-
-
 def _to_sql(expr: str) -> str:
-    """Translate a leaf Cypher expression into a Spark SQL expression."""
-    return outside_literals(expr, _translate)
+    """Translate a leaf Cypher expression into a Spark SQL expression: each
+    function of :data:`_FUNCTIONS` is renamed, never inside a string literal."""
+    return outside_literals(
+        expr, lambda text: _FUNCTION_RE.sub(lambda m: _FUNCTIONS[m[1]] + "(", text)
+    )
 
 
 class CypherEngine:
@@ -99,43 +125,22 @@ class CypherEngine:
 
     def compile(self, query: str, namespace: str) -> str:
         """The Spark SQL text of ``query``; labels resolve in ``namespace``."""
-        src: str | None = None  # the FROM item binding t (and r after a join)
-        sql: str | None = None  # the RETURN clause's SELECT
-        pending_match: str | None = None  # view awaiting its join WHERE
-        for line in (ln.strip() for ln in query.strip().splitlines()):
-            if not line:
-                continue
-            if sql is not None:  # LIMIT may trail a RETURN on its own line
-                if not (m := re.fullmatch(r"LIMIT\s+(\d+)", line, re.IGNORECASE)):
-                    raise CypherEngineError(f"only LIMIT may follow RETURN, got {line!r}")
-                sql += f" LIMIT {int(m.group(1))}"
-            elif m := re.fullmatch(r"MATCH\s*\(\s*(\w+)\s*:\s*(\w+)\s*\)", line):
-                var, view = m.group(1), self._view(m.group(2), namespace)
-                if src is None:
-                    if var != "t":
-                        raise CypherEngineError("anchor variable must be 't'")
-                    src = f"{view} t"
-                else:
-                    if var != "r":
-                        raise CypherEngineError("secondary variable must be 'r'")
-                    pending_match = view
-            elif src is None:
-                raise CypherEngineError("query must start with MATCH")
-            elif (pending_match is not None) != line.upper().startswith("WHERE "):
-                raise CypherEngineError(
-                    f"WHERE goes right after MATCH (r: ...), and only there: {line!r}"
-                )
-            elif pending_match is not None:
-                src, pending_match = self._join(src, pending_match, line[6:]), None
-            elif line.upper().startswith("WITH "):
-                src = f"({self._with(src, line[5:].strip())}) t"
-            elif line.upper().startswith("RETURN "):
-                sql = self._return(src, line[7:].strip())
+        text = "\n".join(ln.strip() for ln in query.split("\n") if ln.strip())
+        first, *clauses = _CLAUSE_START_RE.split(text)
+        if not (m := _ANCHOR_RE.fullmatch(first)):
+            raise CypherEngineError(f"query must start with MATCH (t: Label), got {first!r}")
+        src = f"{self._view(m.group(1), namespace)} t"  # the FROM item binding t (and r)
+        if not clauses or not (ret := _RETURN_RE.fullmatch(clauses[-1])):
+            raise CypherEngineError("query must end with RETURN, and LIMIT on the next line")
+        for clause in clauses[:-1]:
+            if m := _WITH_RE.fullmatch(clause):
+                src = f"({self._with(src, m.group(1))}) t"
+            elif m := _JOIN_RE.fullmatch(clause):
+                src = self._join(src, self._view(m.group(1), namespace), m.group(2))
             else:
-                raise CypherEngineError(f"unsupported clause: {line!r}")
-        if sql is None:
-            raise CypherEngineError("query must end with RETURN")
-        return sql
+                raise CypherEngineError(f"unsupported clause: {clause!r}")
+        sql = self._return(src, ret.group(1))
+        return f"{sql} LIMIT {int(ret.group(2))}" if ret.group(2) else sql
 
     def _view(self, label: str, ns: str) -> str:
         try:
@@ -157,15 +162,13 @@ class CypherEngine:
         if body.upper().startswith("DISTINCT "):
             distinct, body = "DISTINCT ", body[9:].strip()
         items, tail = "t.*", ""
-        if m := re.fullmatch(r"t\s*\{(.*)\}", body, re.DOTALL):
+        if m := re.fullmatch(r"t\s*\{(.*)\}", body):
             items = self._map_projection(m.group(1))
-        elif m := re.fullmatch(r"\{(.*)\}\s+AS\s+t", body, re.DOTALL | re.IGNORECASE):
+        elif m := re.fullmatch(r"\{(.*)\}\s+AS\s+t", body, re.IGNORECASE):
             items, tail = self._aggregate(m.group(1))
-        elif m := re.fullmatch(
-            r"t\s+ORDER\s+BY\s+(.+?)(\s+DESC)?", body, re.IGNORECASE | re.DOTALL
-        ):
+        elif m := re.fullmatch(r"t\s+ORDER\s+BY\s+(.+?)(\s+DESC)?", body, re.IGNORECASE):
             tail = f" ORDER BY {_to_sql(m.group(1))} {'DESC' if m.group(2) else 'ASC'}"
-        elif m := re.fullmatch(r"t\s+WHERE\s+(.+)", body, re.IGNORECASE | re.DOTALL):
+        elif m := re.fullmatch(r"t\s+WHERE\s+(.+)", body, re.IGNORECASE):
             tail = f" WHERE {_to_sql(m.group(1))}"
         elif body.strip() != "t":
             raise CypherEngineError(f"unsupported WITH body: {body!r}")
@@ -175,7 +178,7 @@ class CypherEngine:
         """Parse one projection item: ``'alias': expr`` / ``.*`` (alias None)."""
         if item.strip() == ".*":
             return None, ".*"
-        m = re.fullmatch(r"'([^']*)'\s*:\s*(.+)", item, re.DOTALL)
+        m = re.fullmatch(r"'([^']*)'\s*:\s*(.+)", item)
         if m is None:
             raise CypherEngineError(f"unsupported projection item: {item!r}")
         return m.group(1), m.group(2).strip()

@@ -12,12 +12,14 @@ The engine accepts the forms that ``mongo.ini``'s rules emit, and raises
 ``$expr``), ``$project`` (inclusion / exclusion / computed, with MongoDB's
 implicit ``_id`` retention), ``$addFields``, ``$group`` (keyed or global
 ``_id``, with ``$min/$max/$avg/$stdDevPop/$count`` accumulators),
-``$sort``, ``$limit``, ``$count``, and q10's ``$lookup``: a ``let``
-variable matched by one ``{"$eq": ["$field", "$$var"]}`` stage, followed
-at once by ``{"$unwind": {"path": "$<as>", "preserveNullAndEmptyArrays":
-false}}``. The pair compiles to one inner equi-join that binds each joined
-document as a struct, which is how MongoDB's own optimizer coalesces the
-two stages.
+``$sort``, ``$limit``, ``$count``, and q10's ``$lookup``: its pipeline
+ends with the correlation ``{"$match": {"$expr": {"$eq": ["$field",
+"$$var"]}}}`` of a ``let`` variable, and the stage after it is
+``{"$unwind": {"path": "$<as>", "preserveNullAndEmptyArrays": false}}``.
+Only that correlation reads a ``let`` variable; ``$$var`` anywhere else is
+an error. The ``$lookup`` and its ``$unwind`` compile to one inner
+equi-join that binds each joined document as a struct, which is how
+MongoDB's own optimizer coalesces the two stages.
 
 Document model: one flat row per document, and ``_id`` is data, as in
 MongoDB. It exists only where MongoDB puts it: a collection's stored
@@ -35,8 +37,8 @@ through ``is_missing`` (``$lt``, ``$lte``, ``$eq``) and ``not_missing``.
 
 Compiling makes one catalog read per scanned collection: the engine asks
 the connector it serves, whose ``initialize`` rejects an unknown collection
-and whose ``get_columns`` gives the collection's columns as they are now, so
-a view replaced elsewhere is read with its new schema.
+and whose ``get_columns`` gives the collection's column names as they are
+now, so a view replaced elsewhere is read with its new schema.
 """
 from __future__ import annotations
 
@@ -146,19 +148,17 @@ class MongoEngine:
             self.connector.initialize(ns, collection)
         except DatasetNotRegistered:
             raise MongoEngineError(f"unknown collection {collection!r}") from None
-        cols = [c for c, _ in self.connector.get_columns(ns, collection)]
+        cols = self.connector.get_columns(ns, collection)
         return SqlQuery(f"SELECT * FROM {q(view_name(ns, collection))}", cols)
 
     # ------------------------------------------------------------------
     # expressions -> Spark SQL
     # ------------------------------------------------------------------
-    def _expr(self, e: Any, env: dict[str, str] | None = None) -> str:
+    def _expr(self, e: Any) -> str:
         if isinstance(e, dict):
-            return self._operator(*_single(e, "expression"), env)
-        if isinstance(e, str) and e.startswith("$$"):
-            if env is None or e[2:] not in env:
-                raise MongoEngineError(f"unbound let-variable {e!r}")
-            return env[e[2:]]
+            return self._operator(*_single(e, "expression"))
+        if isinstance(e, str) and e.startswith("$$"):  # only $lookup's correlation reads one
+            raise MongoEngineError(f"unbound let-variable {e!r}")
         if isinstance(e, str) and e.startswith("$"):
             return ".".join(q(part) for part in e[1:].split("."))
         try:
@@ -166,7 +166,7 @@ class MongoEngine:
         except (TypeError, ValueError) as exc:  # an array, a non-finite double
             raise MongoEngineError(f"unsupported operand {e!r}: {exc}") from None
 
-    def _operator(self, op: str, arg: Any, env) -> str:
+    def _operator(self, op: str, arg: Any) -> str:
         # one node: its sparksql.ini rule in one pair of parentheses, so it
         # stays one operand of the node around it
         if op == "$literal" and isinstance(arg, str):
@@ -176,7 +176,7 @@ class MongoEngine:
         rule, args = _RULES[op], arg if isinstance(arg, list) else [arg]
         if op in _NULL_RULES and len(args) == 2 and args[1] is None:
             rule, args = _NULL_RULES[op], args[:1]
-        sql = [self._expr(a, env) for a in args]
+        sql = [self._expr(a) for a in args]
         if rule in ("and", "or") and sql:
             return f"({reduce(lambda x, y: self.spark_sql.apply(rule, left=x, right=y), sql)})"
         arity = 2 if "right" in required_variables(self.spark_sql.get(rule)) else 1
@@ -256,49 +256,33 @@ class MongoEngine:
 
     def _lookup(self, left: SqlQuery, spec: dict, unwind: tuple, ns: str) -> SqlQuery:
         """``$lookup`` + ``$unwind`` of its ``as`` field as one inner
-        equi-join. Each foreign document is joined as one struct, ``__doc``."""
-        as_name = spec["as"]
-        # let-variables are evaluated against the OUTER document
-        env = {name: self._expr(e) for name, e in spec.get("let", {}).items()}
-        stages, on = [], None
-        for stage in spec.get("pipeline", []):
-            name, sspec = _stage(stage)
-            corr = None
-            if name == "$match" and isinstance(sspec, dict) and "$expr" in sspec:
-                corr = self._correlation(sspec["$expr"], env)
-            if corr is None:
-                stages.append((name, sspec))
-            else:
-                on = corr
-        if on is None:
-            raise MongoEngineError("$lookup requires one correlated $match $expr $eq stage")
+        equi-join. The pipeline's last stage is q10's correlation, and the
+        stages before it are the right side. Each foreign document is joined
+        as one struct, ``__doc``."""
+        as_name, let, pipeline = spec["as"], spec.get("let", {}), spec.get("pipeline", [])
+        match pipeline[-1:]:
+            case [{"$match": {"$expr": {"$eq": [str() as field, str() as var]}}} as last] if (
+                last == {"$match": {"$expr": {"$eq": [field, var]}}}
+                and field.startswith("$")
+                and not field.startswith("$$")
+                and var.startswith("$$")
+                and var[2:] in let
+            ):
+                # the let-variable is evaluated against the OUTER document
+                on = f"{self._expr(let[var[2:]])} = `__doc`.{q(field[1:])}"
+            case _:
+                raise MongoEngineError(
+                    "$lookup's pipeline must end with its correlated stage "
+                    '{"$match": {"$expr": {"$eq": ["$field", "$$var"]}}}'
+                )
         if unwind != ("$unwind", {"path": "$" + as_name, "preserveNullAndEmptyArrays": False}):
             raise MongoEngineError(f"$lookup must be followed by an inner $unwind of '${as_name}'")
-        right = self._pipeline(stages, spec["from"], ns)
-        field, var = on
+        right = self._pipeline([_stage(s) for s in pipeline[:-1]], spec["from"], ns)
         cols = [c for c in left.cols if c != as_name] + [as_name]
         items = [q(c) for c in cols[:-1]] + [f"`__doc` AS {q(as_name)}"]
         return SqlQuery(
             f"SELECT {', '.join(items)} FROM ({left.sql}) AS l "
             "INNER JOIN "
-            f"(SELECT struct(*) AS `__doc` FROM ({right.sql})) AS r "
-            f"ON {var} = `__doc`.{q(field)}",
+            f"(SELECT struct(*) AS `__doc` FROM ({right.sql})) AS r ON {on}",
             cols,
         )
-
-    def _correlation(self, expr: dict, env: dict) -> tuple[str, str] | None:
-        """Detect ``{"$eq": ["$field", "$$var"]}``, the field first as q10
-        writes it."""
-        if set(expr) != {"$eq"} or len(expr["$eq"]) != 2:
-            return None
-        field, var = expr["$eq"]
-        if (
-            isinstance(field, str)
-            and field.startswith("$")
-            and not field.startswith("$$")
-            and isinstance(var, str)
-            and var.startswith("$$")
-            and var[2:] in env
-        ):
-            return field[1:], env[var[2:]]
-        return None

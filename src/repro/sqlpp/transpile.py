@@ -13,7 +13,8 @@ translates that SQL++ subset into Spark SQL, preserving semantics:
 * ``FROM Namespace.Dataset t``             → ``FROM Namespace_Dataset t``
   (the SparkConnector's flat temp-view namespace)
 * ``x IS UNKNOWN`` / ``x IS KNOWN``        → ``IS NULL`` / ``IS NOT NULL``
-* ``to_bigint(e)`` / ``to_string(e)``      → ``CAST(e AS BIGINT/STRING)``
+* ``to_bigint(e)`` / ``to_string(e)``      → ``bigint(e)`` / ``string(e)``
+  (Spark SQL's cast functions: a rename, so no call is parsed)
 
 None of these rewrites applies inside a string literal
 (:func:`repro.translate.outside_literals`).
@@ -26,7 +27,7 @@ from __future__ import annotations
 import re
 
 from repro.backends.spark import view_name
-from repro.translate import outside_literals, replace_call
+from repro.translate import outside_literals
 
 _BARE_VALUE_RE = re.compile(r"SELECT\s+VALUE\s+(\w+)\s+FROM", re.IGNORECASE)
 _JOIN_VARS_RE = re.compile(r"SELECT\s+(\w+)\s*,\s*(\w+)\s+FROM", re.IGNORECASE)
@@ -61,6 +62,5 @@ def _translate(text: str) -> str:
     # missing-ness predicates
     text = re.sub(r"IS\s+UNKNOWN", "IS NULL", text, flags=re.IGNORECASE)
     text = re.sub(r"IS\s+KNOWN", "IS NOT NULL", text, flags=re.IGNORECASE)
-    # type conversions
-    text = replace_call(text, "to_bigint", "CAST({0} AS BIGINT)")
-    return replace_call(text, "to_string", "CAST({0} AS STRING)")
+    # type conversions: Spark SQL's cast function of the same call shape
+    return re.sub(r"\bto_(bigint|string)\s*\(", r"\1(", text, flags=re.IGNORECASE)

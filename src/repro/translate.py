@@ -1,7 +1,9 @@
 """Text helpers shared by the query translators.
 
 The SQL++ transpiler (:mod:`repro.sqlpp.transpile`) and the Cypher compiler
-(:mod:`repro.cypher.engine`) rewrite query text with regular expressions.
+(:mod:`repro.cypher.engine`) rewrite query text with regular expressions,
+one pattern per clause or function: a conversion function is renamed to the
+Spark SQL cast function of the same call shape, so no call is parsed.
 :func:`outside_literals` keeps those rewrites out of string literals, so a
 value such as ``'a IS UNKNOWN'`` or ``'t.name'`` reaches Spark unchanged.
 The Mongo and Cypher compilers build Spark SQL themselves, one ``SELECT``
@@ -31,22 +33,6 @@ def outside_literals(text: str, rewrite: Callable[[str], str]) -> str:
 
     rewritten = rewrite(_LITERAL_RE.sub(hide, text))
     return _HIDDEN_RE.sub(lambda m: literals[int(m.group(1))], rewritten)
-
-
-def replace_call(text: str, func: str, template: str) -> str:
-    """Replace each paren-matched ``func(<args>)`` (case-insensitive) with
-    ``template.format(<args>)``. Call it inside :func:`outside_literals`,
-    so parentheses in string literals do not count."""
-    pat = re.compile(re.escape(func) + r"\s*\(", re.IGNORECASE)
-    while m := pat.search(text):
-        depth, j = 1, m.end()
-        while j < len(text) and depth:
-            depth += {"(": 1, ")": -1}.get(text[j], 0)
-            j += 1
-        if depth:
-            raise ValueError(f"unbalanced call to {func} in {text!r}")
-        text = text[: m.start()] + template.format(text[m.end() : j - 1]) + text[j:]
-    return text
 
 
 def quote_ident(name: str) -> str:

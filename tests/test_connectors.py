@@ -44,8 +44,7 @@ class TestContract:
         from repro.bench.harness import COLLECTION, NAMESPACE
 
         _, conn = backend
-        cols = [c for c, _ in conn.get_columns(NAMESPACE, COLLECTION)]
-        assert cols == list(wdata.columns)
+        assert conn.get_columns(NAMESPACE, COLLECTION) == list(wdata.columns)
 
     def test_abstract_base_not_instantiable(self):
         with pytest.raises(TypeError):

@@ -48,8 +48,8 @@ class TestHelpers:
 
     def test_to_sql_function_mapping(self):
         assert _to_sql("stDevP(t.a)") == "stddev_pop(t.a)"
-        assert _to_sql("apoc.convert.toInteger(t.a = 1)") == "CAST(t.a = 1 AS INT)"
-        assert _to_sql("apoc.convert.toString(t.a)") == "CAST(t.a AS STRING)"
+        assert _to_sql("apoc.convert.toInteger(t.a = 1)") == "int(t.a = 1)"
+        assert _to_sql("apoc.convert.toString(t.a)") == "string(t.a)"
 
 
 class TestBasics:

@@ -36,6 +36,22 @@ REMOVED = {
     "cypher-backtick-key": "MATCH (t: c)\nWITH t{`x`: t.a}\nRETURN t",
     "cypher-bare-key": "MATCH (t: c)\nWITH t{x: t.a}\nRETURN t",
     "cypher-sum": "MATCH (t: c)\nWITH { 's': sum(t.a) } AS t\nRETURN t",
+    "cypher-limit-before-return": "MATCH (t: c)\nLIMIT 2\nRETURN t",
+    "cypher-two-returns": "MATCH (t: c)\nRETURN t\nRETURN t",
+    "cypher-match-t-twice": "MATCH (t: c)\nMATCH (t: c)\nRETURN t",
+    "cypher-limit-on-return-line": "MATCH (t: c)\nRETURN t LIMIT 2",
+    "cypher-where-on-match-line": "MATCH (t: c)\nMATCH (r: d) WHERE t.a = r.a\nRETURN t",
+    "mongo-correlation-not-last": [
+        {
+            "$lookup": {
+                "from": "d",
+                "as": "r",
+                "let": {"lv": "$a"},
+                "pipeline": [{"$match": {"$expr": {"$eq": ["$a", "$$lv"]}}}, {"$match": {}}],
+            }
+        },
+        INNER_UNWIND,
+    ],
 }
 
 

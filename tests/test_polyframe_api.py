@@ -111,12 +111,14 @@ class TestComparisonsAndLogicals:
         assert len(spf[spf["string4"] == v]) == int((wdata["string4"] == v).sum())
 
     def test_string_literal_escaping(self, backend):
-        # quotes and backslashes must reach every backend in its own
-        # string syntax: 'it''s' on DuckDB, 'it\'s' on Spark SQL, ...;
-        # and neither text translators nor rewrite variables may rewrite
-        # inside a literal
+        # quotes, backslashes and control characters must reach every
+        # backend in its own string syntax: 'it''s' on DuckDB, 'it\'s' on
+        # Spark SQL, ...; and neither text translators nor rewrite variables
+        # may rewrite inside a literal. A control character reaches no
+        # line-based reader as a raw line break, and no JSON one raw at all.
         _, conn = backend
         values = ["it's", "a\\b", 'q"d', "t.name", "a IS UNKNOWN", "$subquery", "$num"]
+        values += ["a\nb", "a\nWITH t", "tab\there"]
         decoys = ["its", "ab", "qd", "name", "a IS NULL"]
         pdf = pd.DataFrame({"name": values + decoys})
         conn.register("Esc", "escapes", pdf)
@@ -214,6 +216,8 @@ CHAINS = {
     "compare-add-compare": lambda f: (f["ten"] == f["two"]) + (f["ten"] > 3),
     "compare-mul-compare": lambda f: (f["ten"] > 3) * (f["two"] == 1),
     "arith-bool-literal": lambda f: f["ten"] + True,
+    # an escaped quote inside a literal does not end it, so its comma splits no item
+    "compare-quoted-comma": lambda f: f["stringu1"] == "it's, x",
 }
 
 #: after a ``map``, SQL++ ``SELECT VALUE`` drops the column name, so a

@@ -78,11 +78,11 @@ class TestJoin:
 class TestTypeConversions:
     def test_to_bigint(self):
         q = "SELECT VALUE to_bigint(t.a = 1) FROM A.B t"
-        assert "CAST(t.a = 1 AS BIGINT)" in transpile(q)
+        assert "bigint(t.a = 1)" in transpile(q)
 
     def test_to_string_nested_parens(self):
         q = "SELECT VALUE to_string(f(t.a, g(t.b))) FROM A.B t"
-        assert "CAST(f(t.a, g(t.b)) AS STRING)" in transpile(q)
+        assert "string(f(t.a, g(t.b)))" in transpile(q)
 
 
 class TestCosmetics:
