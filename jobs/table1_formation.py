@@ -4,39 +4,14 @@ Usage: spark-submit jobs/table1_formation.py   (no Spark work — prints text)
 """
 from __future__ import annotations
 
-from repro.bench.recording import RecordingConnector
-from repro.core import PolyFrame
-
-OPS = [
-    "af = PolyFrame('Test', 'Users')",
-    "af['lang']",
-    "af['lang'] == 'en'",
-    "af[af['lang'] == 'en']",
-    "af[af['lang'] == 'en'][['name', 'address']]",
-    "af[af['lang'] == 'en'][['name', 'address']].head(10)",
-]
-
-
-def formation(lang: str) -> list[str]:
-    conn = RecordingConnector(lang)
-    af = PolyFrame("Test", "Users", conn)
-    queries = [
-        af.query,
-        af["lang"].query,
-        (af["lang"] == "en").query,
-        af[af["lang"] == "en"].query,
-        af[af["lang"] == "en"][["name", "address"]].query,
-    ]
-    af[af["lang"] == "en"][["name", "address"]].head(10)
-    queries.append(conn.last_query)
-    return queries
+from repro.bench.recording import TABLE1_OPS, RecordingConnector, table1
 
 
 def main(spark=None) -> None:
     print("TABLE I — PolyFrame's Incremental Query Formation")
     for lang in ("sqlpp", "sql", "mongo", "cypher", "sparksql"):
         print(f"\n================ {lang} ================")
-        for i, (op, q) in enumerate(zip(OPS, formation(lang)), 1):
+        for i, (op, q) in enumerate(zip(TABLE1_OPS, table1(RecordingConnector(lang))), 1):
             print(f"\n[{i}] {op}")
             print("    " + q.replace("\n", "\n    "))
 

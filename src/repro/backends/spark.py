@@ -58,9 +58,8 @@ def load_dataframe(
     distribution those operators need, so an action on it runs as one job
     of one task. ``coalesce`` merges partitions without a shuffle.
 
-    A Spark DataFrame is returned unchanged, so parquet-backed,
-    ``cache()``d or repartitioned inputs (the multi-node simulation) keep
-    their own scans and partitions.
+    A Spark DataFrame is returned unchanged, so parquet-backed or
+    ``cache()``d inputs keep their own scans and partitions.
     """
     if isinstance(data, SparkDataFrame):
         return data

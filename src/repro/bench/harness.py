@@ -5,18 +5,12 @@ both the **total runtime** (DataFrame creation + expression) and the
 **expression-only runtime**. For Pandas, creation means reading the JSON
 file into memory; for PolyFrame it is only forming q1 — no data is loaded,
 which is the paper's headline total-runtime contrast.
-
-Multi-node simulation (DESIGN.md §2 substitution 2): a "cluster of N
-nodes" is modelled as N input partitions + N shuffle partitions inside the
-one local Spark session, holding data fixed (speedup, Table V row 2) or
-growing it proportionally (scaleup, Table V row 3).
 """
 from __future__ import annotations
 
 import os
 import tempfile
 import time
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable
@@ -46,22 +40,24 @@ REPEATS = 3
 def local_spark() -> SparkSession:
     """The Spark session of the tests and the jobs.
 
-    ``SPARK_MASTER`` (default ``local[*]``) and ``SPARK_DRIVER_MEM``
-    (default ``8g``) are read only when the JVM starts, so they go into
-    ``PYSPARK_SUBMIT_ARGS`` before the first session is built. 16 shuffle
-    partitions suit the scaled datasets on a few cores (``perfbench`` uses
-    the same). Broadcast joins are off, so joins take the shuffle path that
-    the paper's multi-node runs exercise.
+    ``SPARK_MASTER`` (default ``local[*]``) is read each time a session is
+    built, so a process that stops its session can build the next on
+    another master. ``SPARK_DRIVER_MEM`` (default ``8g``) is read only when
+    the JVM starts, so it goes into ``PYSPARK_SUBMIT_ARGS`` before the
+    first session is built. 16 shuffle partitions suit the scaled datasets
+    on a few cores (``perfbench`` uses the same). Broadcast joins are off,
+    so joins take the shuffle path that the paper's multi-node runs
+    exercise.
     """
     os.environ.setdefault(
         "PYSPARK_SUBMIT_ARGS",
-        f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "
         f"--driver-memory {os.environ.get('SPARK_DRIVER_MEM', '8g')} "
         "--conf spark.driver.host=127.0.0.1 "
         "--conf spark.ui.enabled=false pyspark-shell",
     )
     spark = (
         SparkSession.builder.appName("polyframe-repro")
+        .master(os.environ.get("SPARK_MASTER", "local[*]"))
         .config("spark.sql.shuffle.partitions", "16")
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
@@ -165,17 +161,6 @@ def warmup(connector: DBConnector) -> None:
     initialization so timed runs measure steady-state query latency (the
     paper's servers are long-running and warm)."""
     PolyFrame(NAMESPACE, COLLECTION, connector).head(1)
-
-
-@contextmanager
-def simulated_nodes(spark: SparkSession, nodes: int):
-    """Pin shuffle parallelism to the simulated node count."""
-    saved = spark.conf.get("spark.sql.shuffle.partitions")
-    spark.conf.set("spark.sql.shuffle.partitions", str(nodes))
-    try:
-        yield
-    finally:
-        spark.conf.set("spark.sql.shuffle.partitions", saved)
 
 
 def rows_to_frame(rows: list[TimingRow]) -> pd.DataFrame:

@@ -26,6 +26,7 @@ JSON), so no derivation needs a language-specific step.
 """
 from __future__ import annotations
 
+import operator
 from typing import Callable
 
 import pandas as pd
@@ -131,11 +132,14 @@ class PolyFrame:
         )
 
     def _check_frame(self, column: "PolyFrameColumn", base_query: str | None = None) -> None:
-        """Raise ``ValueError`` if ``column`` reads another dataset than this
-        frame or, given ``base_query``, derives from another frame. A Mongo
-        query names no dataset, so the dataset is compared too."""
-        if (column.namespace, column.collection) != (self.namespace, self.collection) or (
-            base_query is not None and column.base_query != base_query
+        """Raise ``ValueError`` if ``column`` reads another dataset or
+        connector than this frame or, given ``base_query``, derives from
+        another frame. A Mongo query names no dataset, and two connectors
+        may hold datasets of one name, so both are compared too."""
+        if (
+            (column.namespace, column.collection) != (self.namespace, self.collection)
+            or column.connector is not self.connector
+            or (base_query is not None and column.base_query != base_query)
         ):
             raise ValueError(f"cannot combine different frames (column {column.name!r})")
 
@@ -212,7 +216,11 @@ class PolyFrame:
         right_on: str | None = None,
         how: str = "inner",
     ) -> "PolyFrame":
-        """Equi-join, like ``pd.merge`` (inner only, as in the paper)."""
+        """Equi-join, like ``pd.merge`` (inner only, as in the paper).
+        Raises ``ValueError`` if ``other`` has another connector: one query
+        reads both sides from one backend."""
+        if other.connector is not self.connector:
+            raise ValueError("cannot merge frames of different connectors")
         if how != "inner":
             raise ValueError("only inner joins are supported (paper's expr. 12)")
         if on is not None:
@@ -234,7 +242,14 @@ class PolyFrame:
     # actions
     # ------------------------------------------------------------------
     def head(self, n: int = 5) -> pd.DataFrame:
-        """Return the first ``n`` rows (appends the language's LIMIT rule)."""
+        """Return the first ``n`` rows (appends the language's LIMIT rule).
+
+        Raises ``TypeError`` if ``n`` is not an integer, as pandas does, and
+        ``ValueError`` if it is negative: pandas then drops the last rows,
+        which a LIMIT cannot form."""
+        n = operator.index(n)
+        if n < 0:
+            raise ValueError(f"head() takes no negative count, got {n}")
         return self._execute(self.rules.apply("limit", subquery=self.query, num=n))
 
     def toPandas(self) -> pd.DataFrame:

@@ -61,7 +61,8 @@ def spark_jobs(request, tmp_path_factory):
     path = [str(ROOT / "src"), env.get("PYTHONPATH", "")]
     env.update(
         PYTHONPATH=os.pathsep.join(filter(None, path)),
-        SPARK_MASTER="local[2]",  # the jobs share the cores with the tests
+        # the jobs share the cores with the tests; Table V sets one per node count
+        SPARK_MASTER="local[2]",
         SPARK_DRIVER_MEM="1g",
     )
     runs = {}

@@ -22,7 +22,7 @@ from repro.backends.engines import CypherConnector, MongoConnector
 from repro.backends.spark import SparkConnector
 from repro.bench.expressions import EXPRESSIONS
 from repro.bench.harness import BACKENDS, COLLECTION, COLLECTION2, NAMESPACE, local_spark
-from repro.bench.recording import RecordingConnector
+from repro.bench.recording import RecordingConnector, table1
 from repro.core import PolyFrame
 from repro.sqlpp.transpile import transpile
 from repro.wisconsin.generator import wisconsin_pdf
@@ -30,11 +30,9 @@ from tests.test_polyframe_api import CHAINS
 
 
 def _table1(pf, pf2):
-    af = PolyFrame("Test", "Users", pf.connector)
-    kept = af[af["lang"] == "en"][["name", "address"]]
-    for frame in (af, af["lang"], af["lang"] == "en", af[af["lang"] == "en"], kept):
-        pf.connector.queries.append(frame.query)  # formed, not run
-    kept.head(10)
+    conn = pf.connector
+    *formed_only, _ = table1(conn)
+    conn.queries[:0] = formed_only  # formed, not sent: recorded before the action
 
 
 #: case name -> one function of the two Wisconsin frames
@@ -54,14 +52,6 @@ def formed(language: str, case) -> list[tuple[str | None, str]]:
     ``language``: each frame's ``query`` it records (collection ``None``),
     then the text of each action it runs."""
     conn = RecordingConnector(language)
-    run = conn.execute
-    seen: list[str] = []
-
-    def execute(query, namespace, collection):
-        seen.append(collection)
-        return run(query, namespace, collection)
-
-    conn.execute = execute
     pf, pf2 = PolyFrame(NAMESPACE, COLLECTION, conn), PolyFrame(NAMESPACE, COLLECTION2, conn)
     try:
         result = case(pf, pf2)
@@ -69,7 +59,8 @@ def formed(language: str, case) -> list[tuple[str | None, str]]:
             result.toPandas()
     except KeyError:  # describe() reads its statistics by name from the result, [[0]]
         pass
-    return list(zip([None] * (len(conn.queries) - len(seen)) + seen, conn.queries))
+    sent = conn.collections
+    return list(zip([None] * (len(conn.queries) - len(sent)) + sent, conn.queries))
 
 
 def compilers(spark) -> dict:

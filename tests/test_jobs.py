@@ -11,7 +11,7 @@ from repro.bench.expressions import EXPRESSIONS
 
 JOBS = Path(__file__).resolve().parent.parent / "jobs"
 
-#: Spark job -> (section headers it prints, tables with one row per expression)
+#: Spark job -> (lines it prints, tables with one row per expression)
 SPARK_JOBS = {
     "table3_expressions": (
         [
@@ -36,6 +36,12 @@ SPARK_JOBS = {
             "speedup over 1 node (ideal = node count):",
             "TABLE V / Fig. 10 — SCALEUP",
             "scaleup vs 1 node (ideal = 1.0):",
+            # each node count's session runs on a master of its own
+            *(
+                f"... {sweep} {n} nodes done on local[{n}]"
+                for sweep in ("speedup", "scaleup")
+                for n in range(1, 5)
+            ),
         ],
         4,
     ),

@@ -8,10 +8,12 @@ from __future__ import annotations
 import operator
 
 import duckdb
+import numpy as np
 import pandas as pd
 import pytest
 from pyspark.errors import AnalysisException
 
+from repro.backends.duck import DuckDBConnector
 from repro.backends.engines import MongoConnector
 from repro.bench.harness import BACKENDS, COLLECTION, NAMESPACE
 from repro.bench.recording import RecordingConnector
@@ -369,6 +371,43 @@ class TestMerge:
         assert got == int((wdata["ten"] == 3).sum())
 
 
+class TestFramesOfTwoConnectors:
+    """Two connectors may hold datasets of one name with different rows.
+    A query reads one connector's rows, so frames of two connectors do not
+    combine: pandas would read each frame's own rows."""
+
+    @pytest.fixture()
+    def frames(self):
+        # pandas: pf["k"] + other["k"] is [2, 4, 33]; merge on k has 2 rows
+        frames = []
+        for k in ([1, 2, 3], [1, 2, 30]):
+            conn = DuckDBConnector()
+            conn.register("A", "w", pd.DataFrame({"k": k}))
+            frames.append(PolyFrame("A", "w", conn))
+        return frames
+
+    def test_arithmetic_raises(self, frames):
+        pf, other = frames
+        with pytest.raises(ValueError, match="different frames"):
+            pf["k"] + other["k"]
+
+    def test_merge_raises(self, frames):
+        pf, other = frames
+        with pytest.raises(ValueError, match="different connectors"):
+            pf.merge(other, on="k")
+
+    def test_filter_key_raises(self, frames):
+        pf, other = frames
+        with pytest.raises(ValueError, match="different frames"):
+            pf[other["k"] > 2]
+
+    def test_merge_of_two_languages_raises(self):
+        pf = PolyFrame("A", "w", RecordingConnector("sql"))
+        other = PolyFrame("A", "w", RecordingConnector("mongo"))
+        with pytest.raises(ValueError, match="different connectors"):
+            pf.merge(other, on="k")
+
+
 class TestGroupByApi:
     def test_groupby_list_of_keys(self, backends, wdata):
         pf, _ = polyframes(backends["sparksql"])
@@ -420,6 +459,26 @@ class TestToPandas:
         pf, _ = polyframes(conn)
         out = pf[["unique1"]].toPandas()
         assert sorted(out["unique1"]) == sorted(wdata["unique1"])
+
+    @pytest.mark.parametrize("n", [2.5, "2"])
+    def test_head_non_integer_raises(self, backend, n):
+        # as pandas does
+        _, conn = backend
+        pf, _ = polyframes(conn)
+        with pytest.raises(TypeError):
+            pf.head(n)
+
+    def test_head_negative_raises(self, backend):
+        # pandas' head(-1) drops the last row, which a LIMIT cannot form
+        _, conn = backend
+        pf, _ = polyframes(conn)
+        with pytest.raises(ValueError, match="negative"):
+            pf.head(-1)
+
+    def test_head_numpy_integer(self, backend):
+        _, conn = backend
+        pf, _ = polyframes(conn)
+        assert len(pf.head(np.int64(2))) == 2
 
     def test_collect_alias(self, backends):
         pf, _ = polyframes(backends["sparksql"])

@@ -30,7 +30,7 @@ import json
 
 import pytest
 
-from repro.bench.recording import RecordingConnector
+from repro.bench.recording import RecordingConnector, table1
 from repro.core import PolyFrame
 
 EXPECTED: dict[str, dict[int, str]] = {
@@ -96,18 +96,7 @@ EXPECTED_MONGO: dict[int, list] = {
 
 
 def _table1_ops(lang: str) -> dict[int, str]:
-    conn = RecordingConnector(lang)
-    af = PolyFrame("Test", "Users", conn)
-    ops = {
-        1: af.query,
-        2: af["lang"].query,
-        3: (af["lang"] == "en").query,
-        4: af[af["lang"] == "en"].query,
-        5: af[af["lang"] == "en"][["name", "address"]].query,
-    }
-    af[af["lang"] == "en"][["name", "address"]].head(10)
-    ops[6] = conn.last_query
-    return ops
+    return dict(enumerate(table1(RecordingConnector(lang)), 1))
 
 
 @pytest.mark.parametrize("lang", sorted(EXPECTED))
