@@ -70,7 +70,7 @@ _ARITHMETIC = frozenset(("add", "sub", "mul", "div", "mod"))
 #: here: it casts both operands to 0/1.
 _BOOLEAN_ARITHMETIC = {"add": "or", "mul": "and", "sub": None, "div": None}
 
-#: ``other`` of a unary derivation (``None`` is the NULL literal)
+#: ``other`` of a unary derivation
 _UNARY = object()
 
 
@@ -199,14 +199,20 @@ class PolyFrame:
     def sort_values(self, by: str, ascending: bool = True) -> "PolyFrame":
         if not isinstance(by, str):
             raise TypeError("sort_values supports a single attribute name")
-        # q5 sorts ascending by its $sort_asc_attr, q4 descending
-        rule, query = ("sort_asc_attr", "q5") if ascending else ("sort_desc_attr", "q4")
-        attr = {rule: self.rules.apply(rule, attribute=by)}
-        return self._frame(self.rules.apply(query, subquery=self.query, **attr))
+        # the attribute rule writes the direction, q4 the ORDER BY
+        rule = "sort_asc_attr" if ascending else "sort_desc_attr"
+        attr = self.rules.apply(rule, attribute=by)
+        return self._frame(self.rules.apply("q4", subquery=self.query, sort_attr=attr))
 
     def groupby(self, by: str | list[str]) -> "PolyFrameGroupBy":
-        attrs = [by] if isinstance(by, str) else list(by)
-        return PolyFrameGroupBy(self, attrs)
+        """Raises ``TypeError`` unless ``by`` is a column name or a list of
+        names, and ``ValueError`` for an empty list, as pandas does."""
+        attrs = [by] if isinstance(by, str) else by
+        if not isinstance(attrs, (list, tuple)) or not all(isinstance(a, str) for a in attrs):
+            raise TypeError("groupby takes a column name or a list of column names")
+        if not attrs:
+            raise ValueError("No group keys passed!")
+        return PolyFrameGroupBy(self, list(attrs))
 
     def merge(
         self,
@@ -242,7 +248,8 @@ class PolyFrame:
     # actions
     # ------------------------------------------------------------------
     def head(self, n: int = 5) -> pd.DataFrame:
-        """Return the first ``n`` rows (appends the language's LIMIT rule).
+        """Return the first ``n`` rows: the language's LIMIT rule appended
+        to the return-all rule.
 
         Raises ``TypeError`` if ``n`` is not an integer, as pandas does, and
         ``ValueError`` if it is negative: pandas then drops the last rows,
@@ -250,7 +257,8 @@ class PolyFrame:
         n = operator.index(n)
         if n < 0:
             raise ValueError(f"head() takes no negative count, got {n}")
-        return self._execute(self.rules.apply("limit", subquery=self.query, num=n))
+        query = self.rules.apply("limit", subquery=self._finalized(self.query), num=n)
+        return self._execute(query)
 
     def toPandas(self) -> pd.DataFrame:
         """Materialize the full result (the return-all rule)."""
@@ -261,6 +269,14 @@ class PolyFrame:
     def __len__(self) -> int:
         result = self._execute(self.rules.apply("q3", subquery=self.query))
         return int(result.iloc[0, 0])
+
+    def __bool__(self) -> bool:
+        # Without this, bool() falls back to __len__ and runs a COUNT, and
+        # `1 < pf["k"] < 3` silently keeps only its last comparison.
+        raise ValueError(
+            f"The truth value of a {type(self).__name__} is ambiguous. "
+            "Combine conditions with & and |, not `and`, `or` or a chained comparison."
+        )
 
     def _numeric_columns(self) -> list[str]:
         """The columns of this frame's result that pandas describes: those
@@ -332,8 +348,12 @@ class PolyFrameColumn(PolyFrame):
         column, else over this column's own query, by name.
 
         Raises ``ValueError`` if ``other`` is a column of another frame, and
-        ``TypeError`` for ``-`` or ``/`` of two boolean operands, as pandas.
+        ``TypeError`` for ``-`` or ``/`` of two boolean operands, as pandas,
+        and for a ``None`` operand: pandas gives a constant or raises, and
+        no rule forms that constant.
         """
+        if other is None:
+            raise TypeError(f"{rule!r} of None has no rule; test for NULL with isna() or notna()")
         if isinstance(other, PolyFrameColumn):
             self._check_frame(other, self.base_query)
             other_boolean = other.rule in _BOOLEANS
@@ -433,21 +453,16 @@ class PolyFrameColumn(PolyFrame):
     # -- generic rule: one-hot encoding ----------------------------------
     def get_dummies(self) -> PolyFrame:
         """One-hot encode this column — a *generic rule* (paper §III-C-2):
-        an action fetches the distinct values (q11), then the projection is
-        composed from comparison + type-conversion + alias rewrite rules.
-        Both wrap this column's own query and read it by name, like any op
-        on this column alone. Returns a lazy PolyFrame (the projection
-        itself is a transformation).
+        an action fetches the distinct values as the keys of a group-by
+        (q9, projected by q2), then the projection is composed from
+        comparison + type-conversion + alias rewrite rules. Both wrap this
+        column's own query and read it by name, like any op on this column
+        alone. Returns a lazy PolyFrame (the projection itself is a
+        transformation).
         """
-        distinct_q = self.rules.apply(
-            "q11",
-            subquery=self.query,
-            attribute=self.name,
-            **self._group_extras([self.name]),
-        )
-        values = self._execute(self._finalized(distinct_q))
+        values = self.groupby(self.name).agg("count")[[self.name]].toPandas().iloc[:, 0]
         distinct = sorted(
-            {_native(v) for v in values.iloc[:, 0].dropna().tolist()},
+            {_native(v) for v in values.dropna().tolist()},
             key=lambda v: (str(type(v)), v),
         )
         ref = self.rules.apply("single_attribute", attribute=self.name)
@@ -474,6 +489,10 @@ class PolyFrameGroupBy:
         self._target = target
 
     def __getitem__(self, column: str) -> "PolyFrameGroupBy":
+        """Select the one column to aggregate; raises ``TypeError`` for any
+        key but a column name."""
+        if not isinstance(column, str):
+            raise TypeError(f"select one column by name to aggregate, got {column!r}")
         return PolyFrameGroupBy(self._frame, self._by, target=column)
 
     def agg(self, func: str) -> PolyFrame:

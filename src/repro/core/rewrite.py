@@ -6,7 +6,7 @@ configuration file* in exactly the format the paper prints in Appendices B
 (templates may continue over indented lines), and ``;`` comments. Templates
 contain *rewrite variables* written ``$name`` (italicized in the paper's
 Fig. 3); :meth:`RewriteRules.apply` substitutes caller-supplied values for
-them in one pass, longest variable name first: ``$sort_desc_attr`` is never
+them in one pass, longest variable name first: ``$sort_attr`` is never
 read as a ``$sort`` variable, substituted text is never re-scanned, and
 MongoDB's ``{ "$min": "$$attribute" }`` keeps its literal leading ``$``
 while ``$attribute`` is rewritten.
@@ -39,8 +39,7 @@ KNOWN_VARIABLES = frozenset(
         "statement",
         "num",
         "agg_func",
-        "sort_asc_attr",
-        "sort_desc_attr",
+        "sort_attr",
         "grp_attribute",
         "grp_key",
         "grp_restore",

@@ -24,7 +24,7 @@ keeps the line breaks the rules write, and only those. Clauses:
   cartesian product into an equi-join (what Neo4j's planner does for such
   patterns), with the label's view as ``r``
 * ``WITH t`` / ``WITH t WHERE p`` / ``WITH t ORDER BY e [DESC]``
-* ``WITH t{items}`` / ``WITH DISTINCT t{items}`` — map projection
+* ``WITH t{items}``                  — map projection
   (``.*`` is ``t.*``, a bare ``r`` is ``struct(r.*)``; ``'alias': expr``
   computes, its key always quoted)
 * ``WITH {items} AS t``              — aggregation with Cypher's implicit
@@ -158,9 +158,6 @@ class CypherEngine:
         return f"{src} INNER JOIN {view} r ON t.{q(m.group(1))} = r.{q(m.group(2))}"
 
     def _with(self, src: str, body: str) -> str:
-        distinct = ""
-        if body.upper().startswith("DISTINCT "):
-            distinct, body = "DISTINCT ", body[9:].strip()
         items, tail = "t.*", ""
         if m := re.fullmatch(r"t\s*\{(.*)\}", body):
             items = self._map_projection(m.group(1))
@@ -172,7 +169,7 @@ class CypherEngine:
             tail = f" WHERE {_to_sql(m.group(1))}"
         elif body.strip() != "t":
             raise CypherEngineError(f"unsupported WITH body: {body!r}")
-        return f"SELECT {distinct}{items} FROM {src}{tail}"
+        return f"SELECT {items} FROM {src}{tail}"
 
     def _item(self, item: str) -> tuple[str | None, str]:
         """Parse one projection item: ``'alias': expr`` / ``.*`` (alias None)."""

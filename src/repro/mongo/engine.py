@@ -11,10 +11,10 @@ The engine accepts the forms that ``mongo.ini``'s rules emit, and raises
 :class:`MongoEngineError` for any other. Stages: ``$match`` (empty or
 ``$expr``), ``$project`` (inclusion / exclusion / computed, with MongoDB's
 implicit ``_id`` retention), ``$addFields``, ``$group`` (keyed or global
-``_id``, with ``$min/$max/$avg/$stdDevPop/$count`` accumulators),
-``$sort``, ``$limit``, ``$count``, and q10's ``$lookup``: its pipeline
-ends with the correlation ``{"$match": {"$expr": {"$eq": ["$field",
-"$$var"]}}}`` of a ``let`` variable, and the stage after it is
+``_id``, with at least one ``$min/$max/$avg/$stdDevPop/$count``
+accumulator), ``$sort``, ``$limit``, ``$count``, and q10's ``$lookup``:
+its pipeline ends with the correlation ``{"$match": {"$expr": {"$eq":
+["$field", "$$var"]}}}`` of a ``let`` variable, and the stage after it is
 ``{"$unwind": {"path": "$<as>", "preserveNullAndEmptyArrays": false}}``.
 Only that correlation reads a ``let`` variable; ``$$var`` anywhere else is
 an error. The ``$lookup`` and its ``$unwind`` compile to one inner
@@ -229,8 +229,8 @@ class MongoEngine:
             raise MongoEngineError(f"unsupported _id spec: {id_spec!r}")
         keys = {k: self._expr(v) for k, v in id_spec.items()}
         aggs = [f"{self._accumulator(v)} AS {q(k)}" for k, v in spec.items() if k != "_id"]
-        if not keys and not aggs:
-            raise MongoEngineError("$group needs a key or an accumulator")
+        if not aggs:
+            raise MongoEngineError("$group needs an accumulator")
         if keys:
             fields = ", ".join(f"{e} AS {q(k)}" for k, e in keys.items())
             items, tail = [f"struct({fields}) AS `_id`"], " GROUP BY " + ", ".join(keys.values())

@@ -6,7 +6,6 @@ translates that SQL++ subset into Spark SQL, preserving semantics:
 
 * ``SELECT VALUE t FROM ... t``            → ``SELECT t.* FROM ...``
 * ``SELECT VALUE <expr> FROM``             → ``SELECT (<expr>) AS val FROM``
-* ``SELECT DISTINCT VALUE <expr> FROM``    → ``SELECT DISTINCT (<expr>) AS val FROM``
 * ``SELECT l, r FROM ... JOIN ...``        → ``SELECT struct(l.*) AS l, struct(r.*) AS r ...``
   (SQL++ returns the two bound records as nested objects; Spark structs
   model that and avoid duplicate top-level column names)
@@ -33,11 +32,9 @@ _BARE_VALUE_RE = re.compile(r"SELECT\s+VALUE\s+(\w+)\s+FROM", re.IGNORECASE)
 _JOIN_VARS_RE = re.compile(r"SELECT\s+(\w+)\s*,\s*(\w+)\s+FROM", re.IGNORECASE)
 _DATASET_RE = re.compile(r"FROM\s+(\w+)\.(\w+)(\s+\w+)", re.IGNORECASE)
 _SELECT_VALUE_RE = re.compile(r"SELECT\s+(DISTINCT\s+)?VALUE\s+", re.IGNORECASE)
-#: ``SELECT [DISTINCT] VALUE <expr> FROM``: PolyFrame emits no subquery
-#: inside ``<expr>``, so its FROM is the first one after it.
-_VALUE_EXPR_RE = re.compile(
-    r"SELECT\s+(DISTINCT\s+)?VALUE\s+(.+?)\s+FROM\b", re.IGNORECASE | re.DOTALL
-)
+#: ``SELECT VALUE <expr> FROM``: PolyFrame emits no subquery inside
+#: ``<expr>``, so its FROM is the first one after it.
+_VALUE_EXPR_RE = re.compile(r"SELECT\s+VALUE\s+(.+?)\s+FROM\b", re.IGNORECASE | re.DOTALL)
 
 
 def transpile(query: str) -> str:
@@ -56,9 +53,9 @@ def _translate(text: str) -> str:
         r"SELECT struct(\1.*) AS \1, struct(\2.*) AS \2 FROM", text
     )
     # remaining VALUE selects carry expressions
-    text = _VALUE_EXPR_RE.sub(r"SELECT \1(\2) AS val FROM", text)
-    if _SELECT_VALUE_RE.search(text):
-        raise ValueError(f"SELECT VALUE without matching FROM in: {text!r}")
+    text = _VALUE_EXPR_RE.sub(r"SELECT (\1) AS val FROM", text)
+    if _SELECT_VALUE_RE.search(text):  # no rule emits SELECT DISTINCT VALUE
+        raise ValueError(f"SELECT VALUE without matching FROM, or DISTINCT, in: {text!r}")
     # missing-ness predicates
     text = re.sub(r"IS\s+UNKNOWN", "IS NULL", text, flags=re.IGNORECASE)
     text = re.sub(r"IS\s+KNOWN", "IS NOT NULL", text, flags=re.IGNORECASE)

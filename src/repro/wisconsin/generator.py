@@ -34,7 +34,7 @@ Generation is deterministic in ``seed`` (numpy Generator) so the DuckDB
 oracle, the pandas baseline and every PolyFrame backend all see identical
 data. The generator makes pandas frames only: each connector loads them
 into its backend when they are registered, and the multi-node job
-repartitions its own Spark copy. Sizes: the paper's single-node datasets
+registers each in a ``local[n]`` session of its own. Sizes: the paper's single-node datasets
 are 0.5M–5M records (Table IV); this reproduction runs the same *ratios*
 at 1/100 scale for benchmarks and 1/1000 for tests (DESIGN.md §2
 substitution 3).

@@ -125,10 +125,6 @@ class TestWith:
         out = run(engine, "MATCH (t: nodes)\nWITH t ORDER BY t.a\nRETURN t\nLIMIT 1")
         assert out["a"].tolist() == [1]
 
-    def test_distinct(self, engine):
-        out = run(engine, "MATCH (t: nodes)\nWITH DISTINCT t{'s': t.s}\nRETURN t")
-        assert sorted(out["s"]) == ["x", "y", "z"]
-
     def test_unsupported_with_body(self, engine):
         with pytest.raises(CypherEngineError):
             run(engine, "MATCH (t: nodes)\nWITH t, r\nRETURN t")

@@ -25,6 +25,7 @@ INNER_UNWIND = {"$unwind": {"path": "$r", "preserveNullAndEmptyArrays": False}}
 #: form -> a pipeline or query that no bundled rule emits
 REMOVED = {
     "mongo-sum": [{"$group": {"_id": {}, "s": {"$sum": "$a"}}}],
+    "mongo-group-without-accumulator": [{"$group": {"_id": {"a": "$a"}}}],
     "mongo-left-unwind": [
         _lookup(["$a", "$$lv"]),
         {"$unwind": {"path": "$r", "preserveNullAndEmptyArrays": True}},
@@ -36,6 +37,7 @@ REMOVED = {
     "cypher-backtick-key": "MATCH (t: c)\nWITH t{`x`: t.a}\nRETURN t",
     "cypher-bare-key": "MATCH (t: c)\nWITH t{x: t.a}\nRETURN t",
     "cypher-sum": "MATCH (t: c)\nWITH { 's': sum(t.a) } AS t\nRETURN t",
+    "cypher-with-distinct": "MATCH (t: c)\nWITH DISTINCT t{'a': t.a}\nRETURN t",
     "cypher-limit-before-return": "MATCH (t: c)\nLIMIT 2\nRETURN t",
     "cypher-two-returns": "MATCH (t: c)\nRETURN t\nRETURN t",
     "cypher-match-t-twice": "MATCH (t: c)\nMATCH (t: c)\nRETURN t",

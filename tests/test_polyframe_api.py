@@ -5,6 +5,7 @@ formation behaviour uses the RecordingConnector.
 """
 from __future__ import annotations
 
+import contextlib
 import operator
 
 import duckdb
@@ -28,6 +29,19 @@ from tests.conftest import polyframes
 def spf(backends):
     """A PolyFrame on the Spark backend."""
     return polyframes(backends["sparksql"])[0]
+
+
+@contextlib.contextmanager
+def nothing_sent(conn):
+    """Assert that the block sends no query through ``conn``."""
+    sent = []
+    original = conn.send_query
+    conn.send_query = lambda q, n, c: (sent.append(q), original(q, n, c))[1]
+    try:
+        yield
+    finally:
+        conn.send_query = original
+    assert sent == []
 
 
 class TestConstruction:
@@ -170,6 +184,28 @@ class TestComparisonsAndLogicals:
         assert len(pf[pf["b"] > 1.2]) == int((pdf["b"] > 1.2).sum())
         top = (pf["a"] * 0.1).max()
         assert isinstance(top, float) and top == (pdf["a"] * 0.1).max()
+
+    @pytest.mark.parametrize(
+        "op", [operator.eq, operator.ne, operator.gt, operator.add], ids=lambda op: op.__name__
+    )
+    def test_none_operand_raises_at_formation(self, backend, op):
+        # pandas gives a constant (all False; all True for !=), or raises
+        # for +; `= NULL` gave 0 rows for == and != alike, and Mongo's null
+        # matched the missing values
+        _, conn = backend
+        pf, _ = polyframes(conn)
+        with nothing_sent(conn), pytest.raises(TypeError, match="isna"):
+            op(pf["tenPercent"], None)
+
+    def test_truth_value_is_ambiguous(self):
+        # as in pandas: bool() ran a COUNT, so `1 < c < 3` kept only `c < 3`
+        conn = RecordingConnector("sparksql")
+        pf = PolyFrame("T", "a", conn)
+        with pytest.raises(ValueError, match="ambiguous"):
+            pf[1 < pf["k"] < 3]
+        with pytest.raises(ValueError, match="&"):
+            bool(pf["k"] > 100)
+        assert conn.queries == []
 
     @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
     def test_non_finite_floats_raise_at_formation(self, backend, value):
@@ -425,6 +461,24 @@ class TestGroupByApi:
     def test_groupby_head_is_action(self, backends):
         pf, _ = polyframes(backends["sparksql"])
         assert len(pf.groupby("ten")["unique1"].agg("count").head(3)) == 3
+
+    @pytest.mark.parametrize(
+        "misuse,error",
+        [
+            (lambda pf: pf.groupby("two")[["ten"]], TypeError),
+            (lambda pf: pf.groupby("two")[pf["ten"]], TypeError),
+            (lambda pf: pf.groupby(2), TypeError),
+            (lambda pf: pf.groupby(["two", 4]), TypeError),
+            (lambda pf: pf.groupby([]), ValueError),
+        ],
+        ids=["select-list", "select-column", "int-key", "int-among-keys", "no-key"],
+    )
+    def test_groupby_misuse_raises_at_formation(self, backend, misuse, error):
+        # each reached the backend as its parse or binder error, or an IndexError
+        _, conn = backend
+        pf, _ = polyframes(conn)
+        with nothing_sent(conn), pytest.raises(error):
+            misuse(pf).agg("max")
 
 
 class TestUserDefinedRewrites:
