@@ -9,6 +9,8 @@ subqueries instead of materializing them.
 """
 from __future__ import annotations
 
+import contextlib
+
 import duckdb
 import pandas as pd
 
@@ -35,15 +37,38 @@ class DuckDBConnector(DBConnector):
         self.con = con if con is not None else duckdb.connect()
 
     def register(self, namespace: str, collection: str, data) -> None:
-        """Load a pandas (or Spark) DataFrame as table namespace.collection."""
+        """Load a pandas (or Spark) DataFrame as table namespace.collection.
+        Each call stores a copy, so two distinct frames are two tables."""
         pdf = data if isinstance(data, pd.DataFrame) else data.toPandas()
         self.con.execute(f"CREATE SCHEMA IF NOT EXISTS {_quoted(namespace)}")
         self.con.register("_polyframe_staging", pdf)
-        self.con.execute(
-            f"CREATE OR REPLACE TABLE {_quoted(namespace)}.{_quoted(collection)} "
-            "AS SELECT * FROM _polyframe_staging"
-        )
+        self._replace("TABLE", namespace, collection, "_polyframe_staging")
         self.con.unregister("_polyframe_staging")
+
+    def alias(self, namespace: str, collection: str, target: str) -> None:
+        """Make ``namespace.collection`` a second name of the registered
+        ``namespace.target``: a view over its table, which stores no copy.
+        DuckDB binds a view by name at each query, so it reads the rows the
+        target holds then, and raises ``BinderException`` once the target
+        is registered again with other columns; :meth:`register` on
+        ``collection`` replaces it with a table of its own."""
+        self.initialize(namespace, target)
+        if collection.lower() == target.lower():  # the drop would lose the table
+            raise ValueError(f"{namespace}.{collection} cannot alias itself")
+        self._replace(
+            "VIEW", namespace, collection, f"{_quoted(namespace)}.{_quoted(target)}"
+        )
+
+    def _replace(self, kind: str, namespace: str, collection: str, source: str) -> None:
+        """``CREATE OR REPLACE {kind} namespace.collection AS SELECT * FROM
+        source``. DuckDB replaces only an object of the same kind, and drops
+        only one of the kind named, so a table or view of the other kind
+        under the name is dropped first."""
+        name = f"{_quoted(namespace)}.{_quoted(collection)}"
+        other = "VIEW" if kind == "TABLE" else "TABLE"
+        with contextlib.suppress(duckdb.CatalogException):  # the name holds a {kind}
+            self.con.execute(f"DROP {other} IF EXISTS {name}")
+        self.con.execute(f"CREATE OR REPLACE {kind} {name} AS SELECT * FROM {source}")
 
     def initialize(self, namespace: str, collection: str) -> None:
         """Bind ``namespace.collection`` in a query that reads no row.

@@ -22,7 +22,11 @@ partitions as its size needs; a Spark DataFrame is used exactly as given.
 As in the paper, an action is then one query over data already in the
 backend. A bare ``createDataFrame(pdf)`` would instead keep every row
 inside each query plan as a ``LocalRelation``, which Catalyst re-folds in
-the driver on every action.
+the driver on every action. Each :meth:`~SparkConnector.register` loads
+its data again, so two distinct frames are two stored copies; a second
+name for data already registered is made by
+:meth:`~SparkConnector.alias`, a SQL temp view over the first view that
+stores nothing.
 """
 from __future__ import annotations
 
@@ -35,6 +39,7 @@ from pyspark.sql import DataFrame as SparkDataFrame, SparkSession
 
 from repro.core.connector import DatasetNotRegistered, DBConnector
 from repro.core.rewrite import RewriteRules
+from repro.translate import quote_ident
 
 
 def load_dataframe(
@@ -100,11 +105,12 @@ class SparkConnector(DBConnector):
     and translate in :meth:`preprocess` or :meth:`send_query`.
 
     Temp views belong to the session, and so does the registry of which
-    dataset holds each view: :meth:`register` and the first successful
-    :meth:`initialize` of a dataset write it, and every connector on the
-    session raises ``ValueError`` for a dataset whose view another dataset
-    holds. Spark matches temp-view names without regard to case (under its
-    default ``spark.sql.caseSensitive=false``), and so does the registry:
+    dataset holds each view: :meth:`register`, :meth:`alias` and the first
+    successful :meth:`initialize` of a dataset write it, and every connector
+    on the session raises ``ValueError`` for a dataset whose view another
+    dataset holds. Spark matches temp-view names without regard to case
+    (under its default ``spark.sql.caseSensitive=false``), and so does the
+    registry:
     ``A.w`` and ``a.W`` are one dataset, ``A_B.c`` and ``a.B_c`` collide.
     The registry keeps no schema: :meth:`get_columns` reads the view as it
     is now from the session's catalog.
@@ -124,6 +130,22 @@ class SparkConnector(DBConnector):
         """Expose a Spark (or pandas) DataFrame as a PolyFrame dataset."""
         view = self._view(namespace, collection)
         load_dataframe(self.spark, data).createOrReplaceTempView(view)
+        self._holders[view.lower()] = (namespace, collection)
+
+    def alias(self, namespace: str, collection: str, target: str) -> None:
+        """Make ``namespace.collection`` a second name of the registered
+        ``namespace.target``: a temp view over the target's view, which
+        stores no copy. Spark resolves it by name at each query, so it reads
+        the rows the target holds then, in the columns it was made with;
+        :meth:`register` on ``collection`` replaces it with a copy of its own."""
+        self.initialize(namespace, target)
+        if collection.lower() == target.lower():  # a view over itself reads nothing
+            raise ValueError(f"{namespace}.{collection} cannot alias itself")
+        view = self._view(namespace, collection)
+        self.spark.sql(
+            f"CREATE OR REPLACE TEMP VIEW {quote_ident(view)} "
+            f"AS SELECT * FROM {quote_ident(self._view(namespace, target))}"
+        )
         self._holders[view.lower()] = (namespace, collection)
 
     def initialize(self, namespace: str, collection: str) -> None:
@@ -152,5 +174,7 @@ class SparkConnector(DBConnector):
         view = self._catalog.getTempView(self._view(namespace, collection))
         if not view.isDefined():
             raise DatasetNotRegistered(f"{namespace}.{collection}")
-        # one JVM call: a JavaArray from fieldNames() costs a call per column
-        return [f["name"] for f in json.loads(view.get().schema().json())["fields"]]
+        # one JVM call: a JavaArray from fieldNames() costs a call per column.
+        # The view's own record of its columns, not its plan's: the plan of
+        # a view made in SQL (an alias) is not resolved in the catalog.
+        return [f["name"] for f in json.loads(view.get().desc().schema().json())["fields"]]

@@ -55,7 +55,7 @@ from repro.translate import quote_ident as q
 #: Mongo expression operator -> the ``sparksql.ini`` rule that writes it
 _RULES = {
     "$eq": "eq", "$ne": "ne", "$gt": "gt", "$lt": "lt", "$gte": "ge", "$lte": "le",
-    "$add": "add", "$subtract": "sub", "$multiply": "mul", "$divide": "div", "$mod": "mod",
+    "$add": "add", "$subtract": "sub", "$multiply": "mul", "$divide": "div", "$mod": "trunc_mod",
     "$and": "and", "$or": "or", "$not": "not", "$toUpper": "upper", "$toLower": "lower",
     "$abs": "abs", "$toInt": "to_int", "$toString": "to_str",
 }

@@ -156,6 +156,48 @@ class TestNamespaceIsolation:
             assert len(PolyFrame("X_Y", "z", conn)) == 3, conn.language
 
 
+class TestAlias:
+    """``alias`` gives a registered dataset a second name and stores no
+    copy; it resolves by name, so it reads what its target holds now."""
+
+    @staticmethod
+    def connectors(spark) -> list:
+        from repro.backends.duck import DuckDBConnector
+
+        return [DuckDBConnector(), *spark_backed(spark)]
+
+    def test_alias_reads_the_target_as_it_is_now(self, spark):
+        for conn in self.connectors(spark):
+            conn.register("Al", "w", pd.DataFrame({"x": range(3)}))
+            conn.alias("Al", "w2", "w")
+            assert len(PolyFrame("Al", "w2", conn)) == 3, conn.language
+            conn.register("Al", "w", pd.DataFrame({"x": range(10, 15)}))
+            alias = PolyFrame("Al", "w2", conn)
+            assert (len(alias), alias["x"].max()) == (5, 14), conn.language
+
+    def test_register_replaces_an_alias_and_alias_a_copy(self, spark):
+        for conn in self.connectors(spark):
+            conn.register("Al", "v", pd.DataFrame({"x": range(3)}))
+            conn.alias("Al", "v2", "v")
+            conn.register("Al", "v2", pd.DataFrame({"x": range(7)}))
+            assert len(PolyFrame("Al", "v2", conn)) == 7, conn.language
+            assert len(PolyFrame("Al", "v", conn)) == 3, conn.language
+            conn.alias("Al", "v2", "v")
+            assert len(PolyFrame("Al", "v2", conn)) == 3, conn.language
+
+    def test_alias_of_an_unknown_dataset(self, spark):
+        for conn in self.connectors(spark):
+            with pytest.raises(DatasetNotRegistered):
+                conn.alias("Al", "u2", "nope")
+
+    def test_alias_of_itself_keeps_the_data(self, spark):
+        for conn in self.connectors(spark):
+            conn.register("Al", "s", pd.DataFrame({"x": range(3)}))
+            with pytest.raises(ValueError, match="itself"):
+                conn.alias("Al", "S", "s")
+            assert len(PolyFrame("Al", "s", conn)) == 3, conn.language
+
+
 class TestSparkInputs:
     def test_register_accepts_spark_dataframe(self, spark, wdata):
         from repro.backends.spark import SparkConnector

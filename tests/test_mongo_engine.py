@@ -181,6 +181,18 @@ class TestArithmeticAndConversions:
         )
         assert out["v"].iloc[0] == expected
 
+    def test_mod_truncates(self, engine):
+        # MongoDB's $mod keeps the dividend's sign, unlike pandas' %
+        out = run(
+            engine,
+            [
+                {"$match": {"$expr": {"$eq": ["$a", 4]}}},
+                {"$project": {"v": {"$mod": [{"$subtract": [0, "$a"]}, 3]},
+                              "w": {"$mod": ["$a", -3]}, "_id": 0}},
+            ],
+        )
+        assert out[["v", "w"]].iloc[0].tolist() == [-1, 1]
+
     def test_divide(self, engine):
         out = run(
             engine,

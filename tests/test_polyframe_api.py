@@ -228,6 +228,9 @@ CHAINS = {
     "arith-isna": lambda f: (f["ten"] + 1).isna(),
     "compare-astype": lambda f: (f["ten"] > 5).astype(int),
     "mod-map": lambda f: (f["ten"] % 3).map(abs),
+    # pandas' % floors, so the remainder takes the divisor's sign; SQL's truncates
+    "mod-negative": lambda f: (f["ten"] - 5) % 3,
+    "mod-negative-divisor": lambda f: (f["ten"] - 5) % -3,
     "filter-on-map": lambda f: len(f[f["string4"].map(str.lower) == HHHH]),
     # (ten + 1) * 2 > 10 keeps ten > 4; ten + 1 * 2 > 10 would keep ten > 8
     "filter-precedence": lambda f: len(f[(f["ten"] + 1) * 2 > 10]),

@@ -67,11 +67,15 @@ REQUIRED_KEYS = (
 )
 
 #: the rules a config defines beyond REQUIRED_KEYS: ``literal(None)`` reads
-#: ``null_literal``, and MongoDB's ``$group`` packs its keys into ``_id``
+#: ``null_literal``; MongoDB's ``$group`` packs its keys into ``_id``
 #: (``grp_key``, ``grp_restore``) and reads a string that starts with ``$``
-#: as a field path (``dollar_str_literal``)
+#: as a field path (``dollar_str_literal``); and the Mongo stand-in compiles
+#: MongoDB's truncating ``$mod`` with Spark SQL's ``trunc_mod``
 EXTRA_KEYS = {"null_literal"}
-MONGO_EXTRA_KEYS = {"grp_key", "grp_restore", "dollar_str_literal"}
+LANGUAGE_EXTRA_KEYS = {
+    "mongo": {"grp_key", "grp_restore", "dollar_str_literal"},
+    "sparksql": {"trunc_mod"},
+}
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +145,7 @@ class TestLanguageConfigs:
 
     def test_defines_only_the_contract(self, lang):
         # a rule no method applies, such as a retired one, fails here
-        extras = EXTRA_KEYS | (MONGO_EXTRA_KEYS if lang == "mongo" else set())
+        extras = EXTRA_KEYS | LANGUAGE_EXTRA_KEYS.get(lang, set())
         assert set(load_language(lang).keys()) == set(REQUIRED_KEYS) | extras
 
     def test_config_file_exists(self, lang):
