@@ -4,7 +4,8 @@ Each :class:`BenchExpression` is written once:
 
 * ``pandas_fn`` — the literal Table III pandas expression. It runs
   unchanged on two pandas frames (the baseline) and on two PolyFrames;
-  ``poly_fn`` runs it to a result, materializing a lazy PolyFrame;
+  ``poly_fn`` runs it to a result, materializing a lazy PolyFrame or
+  column;
 * ``oracle_sql`` — DuckDB SQL over tables ``data``/``data2`` computing the
   same result, used by the correctness tests via ``repro.oracle``.
 
@@ -25,7 +26,7 @@ from typing import Callable
 
 import pandas as pd
 
-from repro.core.aframe import PolyFrame
+from repro.core.aframe import PolyFrame, PolyFrameColumn
 
 #: Fixed benchmark parameters (see module docstring).
 X, Y, Z = 7, 2, 1
@@ -46,11 +47,11 @@ class BenchExpression:
     oracle_sql: str | None = None
 
     def poly_fn(self, df: Frame, df2: Frame) -> object:
-        """``pandas_fn`` run to its result: a lazy PolyFrame it returns is
-        materialized with ``toPandas()``, any other result is returned as
-        it is, so this runs on pandas frames too."""
+        """``pandas_fn`` run to its result: a lazy PolyFrame or column it
+        returns is materialized with ``toPandas()``, any other result is
+        returned as it is, so this runs on pandas frames too."""
         result = self.pandas_fn(df, df2)
-        return result.toPandas() if isinstance(result, PolyFrame) else result
+        return result.toPandas() if isinstance(result, (PolyFrame, PolyFrameColumn)) else result
 
 
 EXPRESSIONS: list[BenchExpression] = [

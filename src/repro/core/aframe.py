@@ -6,7 +6,7 @@ connector that will eventually run it. Every Pandas-style operation is
 either a
 
 * **transformation** — applies a rewrite rule to the current query and
-  returns a *new* PolyFrame (``pf['a']``, ``pf[pf['a'] == 1]``,
+  returns a *new* PolyFrame or column (``pf['a']``, ``pf[pf['a'] == 1]``,
   ``groupby``, ``sort_values``, ``merge``, arithmetic/comparison on
   columns, ``get_dummies``) — no query is executed, no intermediate
   result materializes; or an
@@ -14,15 +14,23 @@ either a
   rule) and ships it through the connector (``head``, ``toPandas``,
   ``len(pf)``, scalar aggregates, ``describe``).
 
+A frame and a column share one private base class, which holds the
+dataset, the connector, ``query`` and the actions. A
+:class:`PolyFrameColumn` is not a frame: it holds the frame it came from
+and has none of the frame's transformations, so ``merge``, ``groupby``,
+``sort_values`` and a name or list key raise at formation.
+
 Column expressions mirror Table I of the paper. Every column operation is
 one derivation step (:meth:`PolyFrameColumn._derive`) with one rule. The
-new column's ``expr`` composes over the *base* frame, so ``pf[pf['lang']
+new column's ``expr`` composes over the column's ``frame``, so ``pf[pf['lang']
 == 'en']`` filters that frame (Table I footnote 1), also after ``map`` or
 arithmetic. Its own query wraps the column's query and reads it by name
 (Table I row 3), unless the op reads a second column: then it composes
-over the frame, where both operands are in scope. Every expression rule
-yields a complete expression of its language (a Mongo operator nests as
-JSON), so no derivation needs a language-specific step.
+over the frame, where both operands are in scope. ``series[predicate]``
+is the column taken from ``frame[predicate]``, as pandas filters a
+Series. Every expression rule yields a complete expression of its language
+(a Mongo operator nests as JSON), so no derivation needs a
+language-specific step.
 """
 from __future__ import annotations
 
@@ -90,28 +98,15 @@ def _aggregate(func: str) -> Callable:
     return lambda self: self.agg(func)
 
 
-class PolyFrame:
-    """A lazy, query-backed dataframe over one backend dataset."""
+class _Lazy:
+    """A query over one dataset of one connector, and the actions that run
+    it: the part a frame and a column share."""
 
-    def __init__(
-        self,
-        namespace: str,
-        collection: str,
-        connector: DBConnector,
-        _query: str | None = None,
-    ):
+    def __init__(self, namespace: str, collection: str, connector: DBConnector, query: str):
         self.namespace = namespace
         self.collection = collection
         self.connector = connector
-        if _query is None:
-            # Frame creation only verifies the dataset and forms q1 — it
-            # never loads data (the paper's "DataFrame creation time" for
-            # PolyFrame is query-formation time only).
-            connector.initialize(namespace, collection)
-            _query = self.rules.apply(
-                "q1", namespace=namespace, collection=collection
-            )
-        self.query = _query
+        self.query = query
 
     @property
     def rules(self) -> RewriteRules:
@@ -121,43 +116,12 @@ class PolyFrame:
     # ------------------------------------------------------------------
     # plumbing
     # ------------------------------------------------------------------
-    def _frame(self, query: str) -> "PolyFrame":
-        return PolyFrame(self.namespace, self.collection, self.connector, _query=query)
-
-    def _column(self, query: str, **state) -> "PolyFrameColumn":
-        """A column of this frame's dataset; ``state`` is its ``expr``,
-        ``name``, ``base_query`` and ``rule``."""
-        return PolyFrameColumn(
-            self.namespace, self.collection, self.connector, _query=query, **state
-        )
-
-    def _check_frame(self, column: "PolyFrameColumn", base_query: str | None = None) -> None:
-        """Raise ``ValueError`` if ``column`` reads another dataset or
-        connector than this frame or, given ``base_query``, derives from
-        another frame. A Mongo query names no dataset, and two connectors
-        may hold datasets of one name, so both are compared too."""
-        if (
-            (column.namespace, column.collection) != (self.namespace, self.collection)
-            or column.connector is not self.connector
-            or (base_query is not None and column.base_query != base_query)
-        ):
-            raise ValueError(f"cannot combine different frames (column {column.name!r})")
-
     def _execute(self, query: str) -> pd.DataFrame:
         return self.connector.execute(query, self.namespace, self.collection)
 
     def _finalized(self, query: str) -> str:
         """Wrap a non-terminal query with the language's return-all rule."""
         return self.rules.apply("return_all", subquery=query)
-
-    def _group_extras(self, attrs: list[str]) -> dict[str, str]:
-        """grp_key / grp_restore variables for languages that define them
-        (MongoDB's $group needs the keys packed into _id and restored)."""
-        return {
-            rule: self.rules.join_items([self.rules.apply(rule, attribute=a) for a in attrs])
-            for rule in ("grp_key", "grp_restore")
-            if self.rules.has(rule)
-        }
 
     def _agg_item(self, func: str, attribute: str) -> str:
         """One aliased aggregate output, e.g. ``MAX(t.four) AS max_four``."""
@@ -178,6 +142,117 @@ class PolyFrame:
         )
 
     # ------------------------------------------------------------------
+    # actions
+    # ------------------------------------------------------------------
+    def head(self, n: int = 5) -> pd.DataFrame:
+        """Return the first ``n`` rows: the language's LIMIT rule appended
+        to the return-all rule.
+
+        Raises ``TypeError`` if ``n`` is not an integer, as pandas does, and
+        ``ValueError`` if it is negative: pandas then drops the last rows,
+        which a LIMIT cannot form."""
+        n = operator.index(n)
+        if n < 0:
+            raise ValueError(f"head() takes no negative count, got {n}")
+        query = self.rules.apply("limit", subquery=self._finalized(self.query), num=n)
+        return self._execute(query)
+
+    def toPandas(self) -> pd.DataFrame:
+        """Materialize the full result (the return-all rule)."""
+        return self._execute(self._finalized(self.query))
+
+    collect = toPandas
+
+    def __len__(self) -> int:
+        result = self._execute(self.rules.apply("q3", subquery=self.query))
+        return int(result.iloc[0, 0])
+
+    def __bool__(self) -> bool:
+        # Without this, bool() falls back to __len__ and runs a COUNT, and
+        # `1 < pf["k"] < 3` silently keeps only its last comparison.
+        raise ValueError(
+            f"The truth value of a {type(self).__name__} is ambiguous. "
+            "Combine conditions with & and |, not `and`, `or` or a chained comparison."
+        )
+
+    def _numeric_columns(self) -> list[str]:
+        """The columns of this query's result that pandas describes: those
+        of a numeric dtype other than bool, read from ``head(1)``."""
+        dtypes = self.head(1).dtypes
+        if dtypes.index.has_duplicates:
+            raise ValueError("describe() cannot tell apart columns of one name")
+        numeric = [
+            c for c, t in dtypes.items()
+            if pd.api.types.is_numeric_dtype(t) and not pd.api.types.is_bool_dtype(t)
+        ]
+        if not numeric:
+            raise ValueError("describe() found no numeric column to describe")
+        return numeric
+
+    def describe(self, columns: list[str] | None = None) -> pd.DataFrame:
+        """Summary statistics — a *generic rule* (paper §III-C-2): composed
+        from the language-specific aggregate rules 3–7 of Fig. 3, chained
+        with ``attribute_separator``, then folded through q8. Returns a
+        pandas-describe-shaped frame (stats × attributes).
+
+        Without ``columns`` it describes the numeric columns that
+        ``toPandas()`` would return, as pandas does, at the cost of one
+        ``head(1)`` action. Raises ``ValueError`` if two of that result's
+        columns share a name or none is numeric.
+        """
+        if columns is None:
+            columns = self._numeric_columns()
+        stats = ("count", "avg", "std", "min", "max")
+        items = [self._agg_item(f, c) for c in columns for f in stats]
+        query = self.rules.apply(
+            "q8", subquery=self.query, agg_func=self.rules.join_items(items)
+        )
+        row = self._execute(self._finalized(query)).iloc[0]
+        return pd.DataFrame(
+            {c: [row[f"{f}_{c}"] for f in stats] for c in columns},
+            index=list(stats),
+        )
+
+
+class PolyFrame(_Lazy):
+    """A lazy, query-backed dataframe over one backend dataset."""
+
+    def __init__(
+        self, namespace: str, collection: str, connector: DBConnector, _query: str | None = None
+    ):
+        if _query is None:
+            # Frame creation only verifies the dataset and forms q1 — it
+            # never loads data (the paper's "DataFrame creation time" for
+            # PolyFrame is query-formation time only).
+            connector.initialize(namespace, collection)
+            _query = connector.rules.apply("q1", namespace=namespace, collection=collection)
+        super().__init__(namespace, collection, connector, _query)
+
+    def _frame(self, query: str) -> "PolyFrame":
+        return PolyFrame(self.namespace, self.collection, self.connector, _query=query)
+
+    def _check_frame(self, column: "PolyFrameColumn", derived: bool = False) -> None:
+        """Raise ``ValueError`` if ``column`` reads another dataset or
+        connector than this frame or, if ``derived``, derives from another
+        frame. A Mongo query names no dataset, and two connectors may hold
+        datasets of one name, so both are compared too."""
+        if (
+            (column.namespace, column.collection) != (self.namespace, self.collection)
+            or column.connector is not self.connector
+            or (derived and column.frame.query != self.query)
+        ):
+            raise ValueError(f"cannot combine different frames (column {column.name!r})")
+
+    def _group_extras(self, attrs: list[str]) -> dict[str, str]:
+        """grp_key / grp_restore variables for languages that define them
+        (MongoDB's $group needs the keys packed into _id and restored)."""
+        return {
+            rule: self.rules.join_items([self.rules.apply(rule, attribute=a) for a in attrs])
+            for rule in ("grp_key", "grp_restore")
+            if self.rules.has(rule)
+        }
+
+    # ------------------------------------------------------------------
     # transformations
     # ------------------------------------------------------------------
     def __getitem__(self, key):
@@ -190,7 +265,7 @@ class PolyFrame:
             proj = self.rules.apply("proj_attr", attribute=key)
             query = self.rules.apply("q2", subquery=self.query, attribute_alias=proj)
             expr = self.rules.apply("single_attribute", attribute=key)
-            return self._column(query, expr=expr, name=key, base_query=self.query)
+            return PolyFrameColumn(self, query, expr, key)
         if isinstance(key, (list, tuple)):
             items = self.rules.join_items([self.rules.apply("proj_attr", attribute=a) for a in key])
             return self._frame(self.rules.apply("q2", subquery=self.query, attribute_alias=items))
@@ -244,98 +319,38 @@ class PolyFrame:
             )
         )
 
-    # ------------------------------------------------------------------
-    # actions
-    # ------------------------------------------------------------------
-    def head(self, n: int = 5) -> pd.DataFrame:
-        """Return the first ``n`` rows: the language's LIMIT rule appended
-        to the return-all rule.
 
-        Raises ``TypeError`` if ``n`` is not an integer, as pandas does, and
-        ``ValueError`` if it is negative: pandas then drops the last rows,
-        which a LIMIT cannot form."""
-        n = operator.index(n)
-        if n < 0:
-            raise ValueError(f"head() takes no negative count, got {n}")
-        query = self.rules.apply("limit", subquery=self._finalized(self.query), num=n)
-        return self._execute(query)
-
-    def toPandas(self) -> pd.DataFrame:
-        """Materialize the full result (the return-all rule)."""
-        return self._execute(self._finalized(self.query))
-
-    collect = toPandas
-
-    def __len__(self) -> int:
-        result = self._execute(self.rules.apply("q3", subquery=self.query))
-        return int(result.iloc[0, 0])
-
-    def __bool__(self) -> bool:
-        # Without this, bool() falls back to __len__ and runs a COUNT, and
-        # `1 < pf["k"] < 3` silently keeps only its last comparison.
-        raise ValueError(
-            f"The truth value of a {type(self).__name__} is ambiguous. "
-            "Combine conditions with & and |, not `and`, `or` or a chained comparison."
-        )
-
-    def _numeric_columns(self) -> list[str]:
-        """The columns of this frame's result that pandas describes: those
-        of a numeric dtype other than bool, read from ``head(1)``."""
-        dtypes = self.head(1).dtypes
-        if dtypes.index.has_duplicates:
-            raise ValueError("describe() cannot tell apart columns of one name")
-        numeric = [
-            c for c, t in dtypes.items()
-            if pd.api.types.is_numeric_dtype(t) and not pd.api.types.is_bool_dtype(t)
-        ]
-        if not numeric:
-            raise ValueError("describe() found no numeric column to describe")
-        return numeric
-
-    def describe(self, columns: list[str] | None = None) -> pd.DataFrame:
-        """Summary statistics — a *generic rule* (paper §III-C-2): composed
-        from the language-specific aggregate rules 3–7 of Fig. 3, chained
-        with ``attribute_separator``, then folded through q8. Returns a
-        pandas-describe-shaped frame (stats × attributes).
-
-        Without ``columns`` it describes the numeric columns that
-        ``toPandas()`` would return, as pandas does, at the cost of one
-        ``head(1)`` action. Raises ``ValueError`` if two of that result's
-        columns share a name or none is numeric.
-        """
-        if columns is None:
-            columns = self._numeric_columns()
-        stats = ("count", "avg", "std", "min", "max")
-        items = [self._agg_item(f, c) for c in columns for f in stats]
-        query = self.rules.apply(
-            "q8", subquery=self.query, agg_func=self.rules.join_items(items)
-        )
-        row = self._execute(self._finalized(query)).iloc[0]
-        return pd.DataFrame(
-            {c: [row[f"{f}_{c}"] for f in stats] for c in columns},
-            index=list(stats),
-        )
-
-
-class PolyFrameColumn(PolyFrame):
+class PolyFrameColumn(_Lazy):
     """A single (possibly computed) column of a PolyFrame.
 
-    Carries four pieces of state beyond the frame: ``expr`` — the
-    language-specific fragment denoting this column inside a statement over
-    ``base_query``; ``name`` — its output alias; ``base_query`` — the
-    query of the frame it was derived from, which every column derived
-    from it keeps; and ``rule`` — the rule that formed ``expr`` (``None``
-    for a dataset attribute). ``query`` is the column's own value query.
+    Holds ``frame`` — the frame it came from, which every column derived
+    from it keeps; ``expr`` — the language-specific fragment denoting this
+    column inside a statement over ``frame``; ``name`` — its output alias;
+    and ``rule`` — the rule that formed ``expr`` (``None`` for a dataset
+    attribute). ``query`` is the column's own value query.
+
+    A column has the actions of a frame but none of its transformations:
+    its only key is a boolean column of its dataset (``series[predicate]``).
     """
 
-    def __init__(
-        self, *args, expr: str, name: str, base_query: str, rule: str | None = None, **kwargs
-    ):
-        super().__init__(*args, **kwargs)
+    def __init__(self, frame: PolyFrame, query: str, expr: str, name: str, rule: str | None = None):
+        super().__init__(frame.namespace, frame.collection, frame.connector, query)
+        self.frame = frame
         self.expr = expr
         self.name = name
-        self.base_query = base_query
         self.rule = rule
+
+    def __getitem__(self, key: "PolyFrameColumn") -> "PolyFrameColumn":
+        """This column of ``frame[key]``, as pandas filters a Series by a
+        boolean one. Raises ``TypeError`` for any key but a column, and
+        ``ValueError`` for a column of another dataset or connector."""
+        if not isinstance(key, PolyFrameColumn):
+            raise TypeError(f"a column takes a boolean column as key, not {type(key).__name__}")
+        rows = self.frame[key]
+        if self.rule is None:
+            return rows[self.name]
+        query = self.rules.apply("q7", subquery=rows.query, statement=self.expr, alias=self.name)
+        return PolyFrameColumn(rows, query, self.expr, self.name, self.rule)
 
     # -- the derivation step -------------------------------------------
     def _derive(
@@ -355,7 +370,7 @@ class PolyFrameColumn(PolyFrame):
         if other is None:
             raise TypeError(f"{rule!r} of None has no rule; test for NULL with isna() or notna()")
         if isinstance(other, PolyFrameColumn):
-            self._check_frame(other, self.base_query)
+            self.frame._check_frame(other, derived=True)
             other_boolean = other.rule in _BOOLEANS
         else:
             other = _native(other)
@@ -386,12 +401,12 @@ class PolyFrameColumn(PolyFrame):
 
         expr = form(self.expr)
         if isinstance(other, PolyFrameColumn):
-            subquery, statement = self.base_query, expr
+            subquery, statement = self.frame.query, expr
         else:
             ref = self.rules.apply("single_attribute", attribute=self.name)
             subquery, statement = self.query, form(ref)
         query = self.rules.apply("q7", subquery=subquery, statement=statement, alias=name)
-        return self._column(query, expr=expr, name=name, base_query=self.base_query, rule=rule)
+        return PolyFrameColumn(self.frame, query, expr, name, rule)
 
     # comparisons return boolean columns (Table I row 3)
     __eq__ = _operator("eq")  # type: ignore[assignment]
@@ -454,13 +469,14 @@ class PolyFrameColumn(PolyFrame):
     def get_dummies(self) -> PolyFrame:
         """One-hot encode this column — a *generic rule* (paper §III-C-2):
         an action fetches the distinct values as the keys of a group-by
-        (q9, projected by q2), then the projection is composed from
-        comparison + type-conversion + alias rewrite rules. Both wrap this
-        column's own query and read it by name, like any op on this column
-        alone. Returns a lazy PolyFrame (the projection itself is a
-        transformation).
+        (q9, projected by q2) of a frame of this column's values, then the
+        projection is composed from comparison + type-conversion + alias
+        rewrite rules. Both wrap this column's own query and read it by
+        name, like any op on this column alone. Returns a lazy PolyFrame
+        (the projection itself is a transformation).
         """
-        values = self.groupby(self.name).agg("count")[[self.name]].toPandas().iloc[:, 0]
+        values_frame = self.frame._frame(self.query)
+        values = values_frame.groupby(self.name).agg("count")[[self.name]].toPandas().iloc[:, 0]
         distinct = sorted(
             {_native(v) for v in values.dropna().tolist()},
             key=lambda v: (str(type(v)), v),
@@ -477,7 +493,7 @@ class PolyFrameColumn(PolyFrame):
         query = self.rules.apply(
             "q2", subquery=self.query, attribute_alias=self.rules.join_items(items)
         )
-        return self._frame(query)
+        return values_frame._frame(query)
 
 
 class PolyFrameGroupBy:

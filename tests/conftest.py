@@ -17,6 +17,7 @@ import pytest
 from pyspark.sql import SparkSession
 
 from repro import oracle
+from repro.bench.expressions import X
 from repro.bench.harness import (
     BACKENDS,
     COLLECTION,
@@ -118,6 +119,32 @@ def check_frame(result: pd.DataFrame, sql: str, **tables) -> None:
     """Oracle-check a pandas result PolyFrame returned."""
     assert len(result) > 0, "refusing to oracle-check an empty result"
     oracle.assert_equivalent(result, sql, **tables)
+
+
+#: the rows a LIMIT-without-ORDER-BY expression of Table III may return any 5 of
+SAMPLE_POOLS = {
+    2: lambda df: df[["two", "four"]],
+    5: lambda df: df["stringu1"].map(str.upper).to_frame(),
+    10: lambda df: df[df["ten"] == X],
+}
+
+
+def rows(frame: pd.DataFrame) -> set[tuple]:
+    """The rows of ``frame`` in column-name order, NULL as ``None``."""
+    frame = frame[sorted(frame.columns)]
+    return set(map(tuple, frame.astype(object).where(frame.notna(), None).values.tolist()))
+
+
+def check_sample(result: pd.DataFrame, expr_id: int, data: pd.DataFrame) -> None:
+    """Check a sample that expression ``expr_id`` returned over ``data``:
+    any 5 rows of its pool are correct. The result has the pool's columns,
+    and each of its rows is a whole record of the pool. A one-column result
+    is matched by position: a computed column's name differs by backend."""
+    pool = SAMPLE_POOLS[expr_id](data)
+    if result.shape[1] == 1 == pool.shape[1]:
+        pool.columns = result.columns
+    assert len(result) == 5 and set(result.columns) == set(pool.columns)
+    assert rows(result) <= rows(pool)
 
 
 def duck_scalar(sql: str, **tables):

@@ -23,7 +23,7 @@ from repro.backends.spark import SparkConnector
 from repro.bench.expressions import EXPRESSIONS
 from repro.bench.harness import BACKENDS, COLLECTION, COLLECTION2, NAMESPACE, local_spark
 from repro.bench.recording import RecordingConnector, table1
-from repro.core import PolyFrame
+from repro.core import PolyFrame, PolyFrameColumn
 from repro.sqlpp.transpile import transpile
 from repro.wisconsin.generator import wisconsin_pdf
 from tests.test_polyframe_api import CHAINS
@@ -55,7 +55,7 @@ def formed(language: str, case) -> list[tuple[str | None, str]]:
     pf, pf2 = PolyFrame(NAMESPACE, COLLECTION, conn), PolyFrame(NAMESPACE, COLLECTION2, conn)
     try:
         result = case(pf, pf2)
-        if isinstance(result, PolyFrame):
+        if isinstance(result, (PolyFrame, PolyFrameColumn)):
             result.toPandas()
     except KeyError:  # describe() reads its statistics by name from the result, [[0]]
         pass

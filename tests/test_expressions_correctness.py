@@ -15,7 +15,7 @@ import pandas as pd
 import pytest
 
 from repro.bench.expressions import EXPRESSIONS, BY_ID, X
-from tests.conftest import check_frame, duck_scalar, polyframes
+from tests.conftest import check_frame, check_sample, duck_scalar, polyframes
 
 SCALAR_IDS = [e.id for e in EXPRESSIONS if e.kind == "scalar"]
 FRAME_IDS = [e.id for e in EXPRESSIONS if e.kind == "frame"]
@@ -53,33 +53,10 @@ def test_frame_expressions_match_oracle(backend, wdata, wdata2, expr_id):
 class TestSamples:
     """LIMIT without ORDER BY: any n qualifying rows are correct."""
 
-    def test_expr2_projection_sample(self, backend, wdata):
+    @pytest.mark.parametrize("expr_id", SAMPLE_IDS)
+    def test_sample_is_drawn_from_its_pool(self, backend, wdata, expr_id):
         _, conn = backend
-        pf, _ = polyframes(conn)
-        got = pf[["two", "four"]].head()
-        assert got.shape == (5, 2)
-        assert set(got.columns) == {"two", "four"}
-        legal = set(map(tuple, wdata[["two", "four"]].values))
-        assert set(map(tuple, got[["two", "four"]].values)) <= legal
-
-    def test_expr5_map_sample(self, backend, wdata):
-        _, conn = backend
-        pf, _ = polyframes(conn)
-        got = pf["stringu1"].map(str.upper).head()
-        assert got.shape == (5, 1)
-        legal = set(wdata["stringu1"].str.upper())
-        assert set(got.iloc[:, 0]) <= legal
-
-    def test_expr10_selection_sample(self, backend, wdata):
-        _, conn = backend
-        pf, _ = polyframes(conn)
-        got = pf[pf["ten"] == X].head()
-        assert len(got) == 5
-        assert set(got["ten"]) == {X}
-        # whole records, not a projection
-        assert set(got.columns) == set(wdata.columns)
-        legal = set(wdata.loc[wdata["ten"] == X, "unique1"])
-        assert set(got["unique1"]) <= legal
+        check_sample(BY_ID[expr_id].poly_fn(*polyframes(conn)), expr_id, wdata)
 
     def test_head_n_parameter(self, backend):
         _, conn = backend

@@ -97,6 +97,11 @@ class TestDescribe:
             stats += [want.min(), want.max()]
             assert got.to_numpy() == pytest.approx(pd.DataFrame(stats).to_numpy()), frame
 
+    def test_describe_of_a_column_is_that_of_its_one_column_frame(self, backend):
+        # a column is no frame, but keeps a frame's actions
+        pf, _ = polyframes(backend[1])
+        pd.testing.assert_frame_equal(pf["unique1"].describe(), pf[["unique1"]].describe())
+
     def test_describe_is_single_query(self, backend):
         name, conn = backend
         pf, _ = polyframes(conn)

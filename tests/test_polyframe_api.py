@@ -259,6 +259,14 @@ CHAINS = {
     "arith-bool-literal": lambda f: f["ten"] + True,
     # an escaped quote inside a literal does not end it, so its comma splits no item
     "compare-quoted-comma": lambda f: f["stringu1"] == "it's, x",
+    # a series filtered by a predicate of its frame, as pandas filters it;
+    # formed over the column's one-column query, the filter read a key it lacks
+    "series-filter": lambda f: f["ten"][f["four"] > 1],
+    "computed-series-filter": lambda f: (f["ten"] + 1)[f["four"] > 1],
+    "series-filter-arith": lambda f: f["ten"][f["four"] > 1] * 2,
+    "series-filter-max": lambda f: f["unique1"][f["four"] > 1].max(),
+    "series-filter-len": lambda f: len(f["unique1"][f["tenPercent"].isna()]),
+    "map-series-filter": lambda f: f["string4"].map(str.lower)[f["two"] == 1],
 }
 
 #: after a ``map``, SQL++ ``SELECT VALUE`` drops the column name, so a
@@ -327,6 +335,27 @@ class TestChainedColumns:
         with pytest.raises(ValueError, match="different frames"):
             op(pf["x"], pf2["x"])
 
+    @pytest.mark.parametrize(
+        "misuse",
+        [
+            lambda pf: pf["v"].merge(pf, on="k"),
+            lambda pf: pf["v"].groupby("k"),
+            lambda pf: pf["v"].sort_values("v"),
+            lambda pf: pf["v"][["k"]],
+            lambda pf: pf["v"]["k"],
+        ],
+        ids=["merge", "groupby", "sort_values", "list-key", "name-key"],
+    )
+    def test_frame_operations_of_a_column_raise_at_formation(self, misuse):
+        # a column is no frame: merge, groupby and the keys passed formation,
+        # then read "k" from the column's one-column query, which lacks it
+        conn = RecordingConnector("sql")
+        pf = PolyFrame("T", "a", conn)
+        assert not isinstance(pf["v"], PolyFrame)
+        with pytest.raises((AttributeError, TypeError)):
+            misuse(pf)
+        assert conn.queries == []
+
     @pytest.mark.parametrize("language", BACKENDS)
     @pytest.mark.parametrize("op", [operator.sub, operator.truediv])
     @pytest.mark.parametrize("right", ["column", "literal"])
@@ -349,6 +378,8 @@ class TestChainedColumns:
         pf, pf2 = PolyFrame("T", "a", conn), PolyFrame("T", "b", conn)
         with pytest.raises(ValueError, match="different frames"):
             pf[pf2["x"] == 1]
+        with pytest.raises(ValueError, match="different frames"):
+            pf["y"][pf2["x"] == 1]
         # a key of a parent frame of the same dataset reads the same rows,
         # and pandas accepts it too
         assert pf[pf["x"] > 0][pf["y"] == 1].query
@@ -439,6 +470,8 @@ class TestFramesOfTwoConnectors:
         pf, other = frames
         with pytest.raises(ValueError, match="different frames"):
             pf[other["k"] > 2]
+        with pytest.raises(ValueError, match="different frames"):
+            pf["k"][other["k"] > 2]
 
     def test_merge_of_two_languages_raises(self):
         pf = PolyFrame("A", "w", RecordingConnector("sql"))

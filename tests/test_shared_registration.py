@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.backends.spark import view_name
-from repro.bench.expressions import EXPRESSIONS, X
+from repro.bench.expressions import EXPRESSIONS
 from repro.bench.harness import (
     BACKENDS,
     COLLECTION,
@@ -20,14 +20,7 @@ from repro.bench.harness import (
     make_connector,
     register_dataset,
 )
-from tests.conftest import check_frame, duck_scalar, polyframes
-
-#: the rows a LIMIT-without-ORDER-BY expression may return any 5 of
-SAMPLE_POOLS = {
-    2: lambda df: df[["two", "four"]],
-    5: lambda df: df["stringu1"].map(str.upper).to_frame(),
-    10: lambda df: df[df["ten"] == X],
-}
+from tests.conftest import check_frame, check_sample, duck_scalar, polyframes
 
 
 def duck_objects(conn) -> tuple[list[str], list[str]]:
@@ -36,12 +29,6 @@ def duck_objects(conn) -> tuple[list[str], list[str]]:
     tables = conn.con.sql(f"SELECT table_name FROM duckdb_tables() {where}").fetchall()
     views = conn.con.sql(f"SELECT view_name FROM duckdb_views() {where}").fetchall()
     return [t for t, in tables], [v for v, in views]
-
-
-def rows(frame) -> set[tuple]:
-    """The rows of ``frame`` in column-name order, NULL as ``None``."""
-    frame = frame[sorted(frame.columns)]
-    return set(map(tuple, frame.astype(object).where(frame.notna(), None).values.tolist()))
 
 
 def scanned_rdd(spark, collection: str) -> int:
@@ -83,11 +70,7 @@ class TestOneCopy:
             elif e.kind == "frame":
                 check_frame(got, e.oracle_sql, data=wdata, data2=wdata)
             else:
-                pool = SAMPLE_POOLS[e.id](wdata)
-                if got.shape[1] == 1:  # a computed column's name differs by backend
-                    pool.columns = got.columns
-                assert len(got) == 5 and set(got.columns) == set(pool.columns), name
-                assert rows(got) <= rows(pool), name
+                check_sample(got, e.id, wdata)
 
 
 class TestTwoCopies:
