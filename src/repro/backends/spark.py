@@ -25,8 +25,11 @@ inside each query plan as a ``LocalRelation``, which Catalyst re-folds in
 the driver on every action. Each :meth:`~SparkConnector.register` loads
 its data again, so two distinct frames are two stored copies; a second
 name for data already registered is made by
-:meth:`~SparkConnector.alias`, a SQL temp view over the first view that
-stores nothing.
+:meth:`~SparkConnector.alias`, a temp view of the first view's DataFrame
+that stores nothing. Its plan is resolved once, when it is made, not
+re-parsed and re-analyzed in every query that names it as a SQL view
+would be; so the session's registry remembers each alias's target, and
+registering the target again re-points the alias to the new DataFrame.
 """
 from __future__ import annotations
 
@@ -39,7 +42,6 @@ from pyspark.sql import DataFrame as SparkDataFrame, SparkSession
 
 from repro.core.connector import DatasetNotRegistered, DBConnector
 from repro.core.rewrite import RewriteRules
-from repro.translate import quote_ident
 
 
 def load_dataframe(
@@ -90,9 +92,10 @@ def view_name(namespace: str, collection: str) -> str:
 
 
 #: SparkSession -> its dataset registry: each temp view's name in lower case,
-#: the key Spark's catalog matches it by, -> the (namespace, collection) that
-#: holds the view. Temp views belong to the session, so every Spark-backed
-#: connector on it shares its registry.
+#: the key Spark's catalog matches it by, -> ``(namespace, collection,
+#: target)``: the dataset that holds the view, and the collection of the same
+#: namespace it aliases, or ``None``. Temp views belong to the session, so
+#: every Spark-backed connector on it shares its registry.
 _REGISTRIES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -121,7 +124,7 @@ class SparkConnector(DBConnector):
     def __init__(self, spark: SparkSession, rules: RewriteRules | None = None):
         super().__init__(rules)
         self.spark = spark
-        self._holders: dict[str, tuple[str, str]] = _REGISTRIES.setdefault(spark, {})
+        self._holders: dict[str, tuple[str, str, str | None]] = _REGISTRIES.setdefault(spark, {})
         self._catalog = spark._jsparkSession.sessionState().catalog()
 
     def register(
@@ -129,40 +132,49 @@ class SparkConnector(DBConnector):
     ) -> None:
         """Expose a Spark (or pandas) DataFrame as a PolyFrame dataset."""
         view = self._view(namespace, collection)
-        load_dataframe(self.spark, data).createOrReplaceTempView(view)
-        self._holders[view.lower()] = (namespace, collection)
+        self._bind(view, (namespace, collection, None), load_dataframe(self.spark, data))
 
     def alias(self, namespace: str, collection: str, target: str) -> None:
         """Make ``namespace.collection`` a second name of the registered
-        ``namespace.target``: a temp view over the target's view, which
-        stores no copy. Spark resolves it by name at each query, so it reads
-        the rows the target holds then, in the columns it was made with;
-        :meth:`register` on ``collection`` replaces it with a copy of its own."""
+        ``namespace.target``: a temp view of the target view's DataFrame,
+        which stores no copy and carries no SQL text, so Spark does not
+        re-analyze it in each query. :meth:`register` of the target re-points
+        it, so it reads the target as registered then, in its rows and
+        columns; :meth:`register` on ``collection`` replaces it with a copy
+        of its own."""
         self.initialize(namespace, target)
-        if collection.lower() == target.lower():  # a view over itself reads nothing
+        view, source = self._view(namespace, collection), self._view(namespace, target)
+        chain = source.lower()
+        while chain != view.lower() and self._holders[chain][2] is not None:
+            chain = view_name(namespace, self._holders[chain][2]).lower()
+        if chain == view.lower():  # the view would read itself
             raise ValueError(f"{namespace}.{collection} cannot alias itself")
-        view = self._view(namespace, collection)
-        self.spark.sql(
-            f"CREATE OR REPLACE TEMP VIEW {quote_ident(view)} "
-            f"AS SELECT * FROM {quote_ident(self._view(namespace, target))}"
-        )
-        self._holders[view.lower()] = (namespace, collection)
+        self._bind(view, (namespace, collection, target), self.spark.table(source))
+
+    def _bind(self, view: str, dataset: tuple, df: SparkDataFrame) -> None:
+        """Make ``view`` the temp view of ``df`` and record its ``(namespace,
+        collection, target)``; then re-point each alias of it to ``df``."""
+        df.createOrReplaceTempView(view)
+        self._holders[view.lower()] = dataset
+        for ns, alias, of in list(self._holders.values()):
+            if of is not None and view_name(ns, of).lower() == view.lower():
+                self._bind(view_name(ns, alias), (ns, alias, of), df)
 
     def initialize(self, namespace: str, collection: str) -> None:
         view = self._view(namespace, collection)
         if view.lower() not in self._holders:  # a held dataset needs no catalog read
             if not self._catalog.getTempView(view).isDefined():
                 raise DatasetNotRegistered(f"{namespace}.{collection}")
-            self._holders[view.lower()] = (namespace, collection)  # made in Spark directly
+            self._holders[view.lower()] = (namespace, collection, None)  # made in Spark directly
 
     def _view(self, namespace: str, collection: str) -> str:
         """The temp view of ``namespace.collection``, unless the registry
         gives it to another dataset: then ``ValueError``."""
         view = view_name(namespace, collection)
-        holder = self._holders.get(view.lower(), (namespace, collection))
+        held_ns, held, _ = self._holders.get(view.lower(), (namespace, collection, None))
         # the two views match, so the datasets do when their namespaces do
-        if holder[0].lower() != namespace.lower():
-            raise ValueError(f"{namespace}.{collection}: {'.'.join(holder)} holds view {view!r}")
+        if held_ns.lower() != namespace.lower():
+            raise ValueError(f"{namespace}.{collection}: {held_ns}.{held} holds view {view!r}")
         return view
 
     def send_query(self, query: str, namespace: str, collection: str) -> pd.DataFrame:
@@ -176,5 +188,5 @@ class SparkConnector(DBConnector):
             raise DatasetNotRegistered(f"{namespace}.{collection}")
         # one JVM call: a JavaArray from fieldNames() costs a call per column.
         # The view's own record of its columns, not its plan's: the plan of
-        # a view made in SQL (an alias) is not resolved in the catalog.
+        # a view made in SQL is not resolved in the catalog.
         return [f["name"] for f in json.loads(view.get().desc().schema().json())["fields"]]

@@ -158,7 +158,8 @@ class TestNamespaceIsolation:
 
 class TestAlias:
     """``alias`` gives a registered dataset a second name and stores no
-    copy; it resolves by name, so it reads what its target holds now."""
+    copy; registering its target re-points it, so it reads what its target
+    holds now."""
 
     @staticmethod
     def connectors(spark) -> list:
@@ -196,6 +197,45 @@ class TestAlias:
             with pytest.raises(ValueError, match="itself"):
                 conn.alias("Al", "S", "s")
             assert len(PolyFrame("Al", "s", conn)) == 3, conn.language
+
+    def test_alias_through_its_own_alias_keeps_the_data(self, spark):
+        for conn in self.connectors(spark):
+            conn.register("Al", "c", pd.DataFrame({"x": range(3)}))
+            conn.alias("Al", "c2", "c")
+            conn.alias("Al", "c3", "c2")
+            with pytest.raises(ValueError, match="itself"):
+                conn.alias("Al", "c", "c3")
+            assert len(PolyFrame("Al", "c", conn)) == 3, conn.language
+
+    def test_alias_reads_the_target_in_its_new_columns(self, spark):
+        for conn in self.connectors(spark):
+            conn.register("Al", "n", pd.DataFrame({"x": range(3)}))
+            conn.alias("Al", "n2", "n")
+            conn.alias("Al", "n3", "n2")
+            conn.register("Al", "n", pd.DataFrame({"y": [7, 8], "x": [1, 2]}))
+            for name in ("n2", "n3"):
+                got = PolyFrame("Al", name, conn).toPandas()
+                assert got.to_dict("list") == {"y": [7, 8], "x": [1, 2]}, conn.language
+
+    def test_register_on_the_alias_detaches_it(self, spark):
+        for conn in self.connectors(spark):
+            conn.register("Al", "d", pd.DataFrame({"x": range(3)}))
+            conn.alias("Al", "d2", "d")
+            conn.register("Al", "D2", pd.DataFrame({"z": range(4)}))
+            conn.register("Al", "d", pd.DataFrame({"y": range(6)}))
+            got = PolyFrame("Al", "d2", conn).toPandas()
+            assert got.to_dict("list") == {"z": [0, 1, 2, 3]}, conn.language
+
+    def test_spark_alias_carries_no_sql_text(self, spark):
+        # a Dataset view: Spark does not parse and analyze it in each query
+        from repro.backends.spark import view_name
+
+        catalog = spark._jsparkSession.sessionState().catalog()
+        for conn in spark_backed(spark):
+            conn.register("Al", "t", pd.DataFrame({"x": range(3)}))
+            conn.alias("Al", "t2", "t")
+            desc = catalog.getTempView(view_name("Al", "t2")).get().desc()
+            assert desc.viewText().isEmpty(), conn.language
 
 
 class TestSparkInputs:
@@ -260,6 +300,73 @@ class TestUnknownDataset:
         _, conn = backend
         with pytest.raises(DatasetNotRegistered):
             conn.get_columns("Nope", "missing")
+
+
+class RecordingConnection:
+    """A DuckDB connection that records each statement sent through it."""
+
+    def __init__(self):
+        self._con = duckdb.connect()
+        self.statements: list[str] = []
+
+    def execute(self, query, *args):
+        self.statements.append(query)
+        return self._con.execute(query, *args)
+
+    def sql(self, query):
+        self.statements.append(query)
+        return self._con.sql(query)
+
+    def __getattr__(self, name):
+        return getattr(self._con, name)
+
+
+class TestDuckDBRegistry:
+    """The connection's registry verifies a known dataset without DuckDB."""
+
+    def test_frame_on_a_held_dataset_sends_no_statement(self, wdata):
+        from repro.backends.duck import DuckDBConnector
+
+        con = RecordingConnection()
+        conn = DuckDBConnector(con)
+        conn.register("H", "w", wdata.head(3))
+        conn.alias("H", "w2", "w")
+        con.statements.clear()
+        PolyFrame("H", "w", conn)
+        PolyFrame("h", "W2", conn)
+        assert con.statements == []
+
+    def test_connectors_on_one_connection_share_it(self, wdata):
+        from repro.backends.duck import DuckDBConnector
+
+        con = RecordingConnection()
+        DuckDBConnector(con).register("H", "w", wdata.head(3))
+        second = DuckDBConnector(con)
+        con.statements.clear()
+        assert len(PolyFrame("H", "w", second)) == 3
+        assert len(con.statements) == 1  # the action's query, no bind
+
+    def test_view_made_on_the_connection_is_bound_once(self):
+        from repro.backends.duck import DuckDBConnector
+
+        con = RecordingConnection()
+        con.execute("CREATE SCHEMA V")
+        con.execute("CREATE VIEW V.w AS SELECT * FROM range(4) AS r(a)")
+        conn = DuckDBConnector(con)
+        con.statements.clear()
+        PolyFrame("V", "w", conn)
+        PolyFrame("V", "w", conn)
+        assert con.statements == ['SELECT * FROM "V"."w" LIMIT 0']
+
+    def test_unknown_name_is_bound_each_time(self):
+        from repro.backends.duck import DuckDBConnector
+
+        con = RecordingConnection()
+        conn = DuckDBConnector(con)
+        for _ in range(2):
+            with pytest.raises(DatasetNotRegistered):
+                PolyFrame("V", "nope", conn)
+        assert len(con.statements) == 2
 
 
 class TestDuckDBInitialize:

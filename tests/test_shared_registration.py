@@ -2,8 +2,8 @@
 
 ``register_dataset(conn, pdf, pdf)``, as the jobs and perfbench call it,
 stores ``pdf`` once per backend and makes ``wisconsin2`` an alias of
-``wisconsin``: a DuckDB view over the one table, a Spark temp view over the
-one loaded view. Distinct frames (the ``backends`` fixture's ``wdata`` and
+``wisconsin``: a DuckDB view over the one table, a Spark temp view of the
+one loaded DataFrame. Distinct frames (the ``backends`` fixture's ``wdata`` and
 ``wdata.copy()``) stay two copies.
 """
 from __future__ import annotations
