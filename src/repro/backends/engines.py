@@ -11,7 +11,8 @@ call, then ``toPandas``.
 
 All three subclass :class:`~repro.backends.spark.SparkConnector`, so they
 share its registration (one temp view per ``namespace.collection``, held in
-the session's registry) and initialization. The Mongo and Cypher engines
+the registry :mod:`repro.backends.registry` keeps per session) and
+initialization. The Mongo and Cypher engines
 are built from their connector and ask it: ``initialize`` rejects an
 unknown collection or label, and Mongo alone also reads a collection's
 column names as they are now through ``SparkConnector.get_columns``, which is

@@ -6,10 +6,10 @@ temp view ``{namespace}_{collection}`` (Spark temp views live in a flat
 namespace), which is exactly the name the ``sparksql.ini`` q1 rule forms.
 :class:`SparkConnector` is the base of every Spark-backed connector (see
 ``repro.backends.engines``): they share its registration and
-initialization, and one registry per session of the dataset
-that holds each temp view; each runs an action as one ``spark.sql`` call
-on Spark SQL text. The session's catalog is the only store of a view's
-schema.
+initialization, and the session's registry of the dataset that holds each
+temp view (:mod:`repro.backends.registry`); each runs an action as one
+``spark.sql`` call on Spark SQL text. The session's catalog is the only
+store of a view's schema.
 
 Catalyst supplies the "efficient query optimizer" the paper requires of
 every PolyFrame backend: the deeply nested subqueries produced by
@@ -24,23 +24,21 @@ backend. A bare ``createDataFrame(pdf)`` would instead keep every row
 inside each query plan as a ``LocalRelation``, which Catalyst re-folds in
 the driver on every action. Each :meth:`~SparkConnector.register` loads
 its data again, so two distinct frames are two stored copies; a second
-name for data already registered is made by
-:meth:`~SparkConnector.alias`, a temp view of the first view's DataFrame
-that stores nothing. Its plan is resolved once, when it is made, not
-re-parsed and re-analyzed in every query that names it as a SQL view
-would be; so the session's registry remembers each alias's target, and
-registering the target again re-points the alias to the new DataFrame.
+name for data already registered is made by :meth:`~SparkConnector.alias`,
+a temp view of the stored view's DataFrame that stores nothing, whose plan
+is resolved once, when it is made, not re-analyzed in every query as a SQL
+view's would be. Registering the stored view again re-points its aliases.
 """
 from __future__ import annotations
 
 import json
 import math
-import weakref
 
 import pandas as pd
 from pyspark.sql import DataFrame as SparkDataFrame, SparkSession
 
-from repro.core.connector import DatasetNotRegistered, DBConnector
+from repro.backends.registry import RegistryConnector
+from repro.core.connector import DatasetNotRegistered
 from repro.core.rewrite import RewriteRules
 
 
@@ -91,15 +89,7 @@ def view_name(namespace: str, collection: str) -> str:
     return f"{namespace}_{collection}"
 
 
-#: SparkSession -> its dataset registry: each temp view's name in lower case,
-#: the key Spark's catalog matches it by, -> ``(namespace, collection,
-#: target)``: the dataset that holds the view, and the collection of the same
-#: namespace it aliases, or ``None``. Temp views belong to the session, so
-#: every Spark-backed connector on it shares its registry.
-_REGISTRIES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-class SparkConnector(DBConnector):
+class SparkConnector(RegistryConnector):
     """Executes PolyFrame's generated Spark SQL via ``spark.sql``.
 
     The base of every Spark-backed connector: a dataset
@@ -108,74 +98,30 @@ class SparkConnector(DBConnector):
     and translate in :meth:`preprocess` or :meth:`send_query`.
 
     Temp views belong to the session, and so does the registry of which
-    dataset holds each view: :meth:`register`, :meth:`alias` and the first
-    successful :meth:`initialize` of a dataset write it, and every connector
-    on the session raises ``ValueError`` for a dataset whose view another
-    dataset holds. Spark matches temp-view names without regard to case
-    (under its default ``spark.sql.caseSensitive=false``), and so does the
-    registry:
-    ``A.w`` and ``a.W`` are one dataset, ``A_B.c`` and ``a.B_c`` collide.
-    The registry keeps no schema: :meth:`get_columns` reads the view as it
-    is now from the session's catalog.
+    dataset holds each view. Spark matches temp-view names without regard
+    to case (under its default ``spark.sql.caseSensitive=false``), and so
+    does the registry: ``A.w`` and ``a.W`` are one dataset, ``A_B.c`` and
+    ``a.B_c`` collide. The registry keeps no schema: :meth:`get_columns`
+    reads the view as it is now from the session's catalog.
     """
 
     language = "sparksql"
+    _name = staticmethod(view_name)
 
     def __init__(self, spark: SparkSession, rules: RewriteRules | None = None):
-        super().__init__(rules)
+        super().__init__(spark, rules)
         self.spark = spark
-        self._holders: dict[str, tuple[str, str, str | None]] = _REGISTRIES.setdefault(spark, {})
         self._catalog = spark._jsparkSession.sessionState().catalog()
 
-    def register(
-        self, namespace: str, collection: str, data: SparkDataFrame | pd.DataFrame
-    ) -> None:
-        """Expose a Spark (or pandas) DataFrame as a PolyFrame dataset."""
-        view = self._view(namespace, collection)
-        self._bind(view, (namespace, collection, None), load_dataframe(self.spark, data))
+    def _store(self, namespace: str, name: str, data: SparkDataFrame | pd.DataFrame) -> None:
+        load_dataframe(self.spark, data).createOrReplaceTempView(name)
 
-    def alias(self, namespace: str, collection: str, target: str) -> None:
-        """Make ``namespace.collection`` a second name of the registered
-        ``namespace.target``: a temp view of the target view's DataFrame,
-        which stores no copy and carries no SQL text, so Spark does not
-        re-analyze it in each query. :meth:`register` of the target re-points
-        it, so it reads the target as registered then, in its rows and
-        columns; :meth:`register` on ``collection`` replaces it with a copy
-        of its own."""
-        self.initialize(namespace, target)
-        view, source = self._view(namespace, collection), self._view(namespace, target)
-        chain = source.lower()
-        while chain != view.lower() and self._holders[chain][2] is not None:
-            chain = view_name(namespace, self._holders[chain][2]).lower()
-        if chain == view.lower():  # the view would read itself
-            raise ValueError(f"{namespace}.{collection} cannot alias itself")
-        self._bind(view, (namespace, collection, target), self.spark.table(source))
+    def _link(self, name: str, root: str) -> None:
+        # a Dataset view carries no SQL text: Spark does not re-analyze it per query
+        self.spark.table(root).createOrReplaceTempView(name)
 
-    def _bind(self, view: str, dataset: tuple, df: SparkDataFrame) -> None:
-        """Make ``view`` the temp view of ``df`` and record its ``(namespace,
-        collection, target)``; then re-point each alias of it to ``df``."""
-        df.createOrReplaceTempView(view)
-        self._holders[view.lower()] = dataset
-        for ns, alias, of in list(self._holders.values()):
-            if of is not None and view_name(ns, of).lower() == view.lower():
-                self._bind(view_name(ns, alias), (ns, alias, of), df)
-
-    def initialize(self, namespace: str, collection: str) -> None:
-        view = self._view(namespace, collection)
-        if view.lower() not in self._holders:  # a held dataset needs no catalog read
-            if not self._catalog.getTempView(view).isDefined():
-                raise DatasetNotRegistered(f"{namespace}.{collection}")
-            self._holders[view.lower()] = (namespace, collection, None)  # made in Spark directly
-
-    def _view(self, namespace: str, collection: str) -> str:
-        """The temp view of ``namespace.collection``, unless the registry
-        gives it to another dataset: then ``ValueError``."""
-        view = view_name(namespace, collection)
-        held_ns, held, _ = self._holders.get(view.lower(), (namespace, collection, None))
-        # the two views match, so the datasets do when their namespaces do
-        if held_ns.lower() != namespace.lower():
-            raise ValueError(f"{namespace}.{collection}: {held_ns}.{held} holds view {view!r}")
-        return view
+    def _exists(self, name: str) -> bool:
+        return self._catalog.getTempView(name).isDefined()
 
     def send_query(self, query: str, namespace: str, collection: str) -> pd.DataFrame:
         return self.spark.sql(query).toPandas()
@@ -183,7 +129,7 @@ class SparkConnector(DBConnector):
     def get_columns(self, namespace: str, collection: str) -> list[str]:
         """The view's column names as they are now, from one catalog read;
         the Mongo compiler scans a collection with them."""
-        view = self._catalog.getTempView(self._view(namespace, collection))
+        view = self._catalog.getTempView(self._checked_name(namespace, collection))
         if not view.isDefined():
             raise DatasetNotRegistered(f"{namespace}.{collection}")
         # one JVM call: a JavaArray from fieldNames() costs a call per column.

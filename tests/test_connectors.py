@@ -226,6 +226,36 @@ class TestAlias:
             got = PolyFrame("Al", "d2", conn).toPandas()
             assert got.to_dict("list") == {"z": [0, 1, 2, 3]}, conn.language
 
+    def test_alias_of_an_alias_names_the_stored_dataset(self, spark):
+        # n3 reads what n2 read when n3 was made: n, not n2's later copy
+        for conn in self.connectors(spark):
+            conn.register("Root", "n", pd.DataFrame({"x": range(3)}))
+            conn.alias("Root", "n2", "n")
+            conn.alias("Root", "n3", "n2")
+            conn.register("Root", "n2", pd.DataFrame({"x": range(7)}))
+            assert len(PolyFrame("Root", "n3", conn)) == 3, conn.language
+
+    def test_a_stored_dataset_made_an_alias_carries_its_aliases(self, spark):
+        for conn in self.connectors(spark):
+            conn.register("Q", "c", pd.DataFrame({"x": range(3)}))
+            conn.alias("Q", "c2", "c")
+            conn.register("Q", "y", pd.DataFrame({"x": range(5)}))
+            conn.alias("Q", "c", "y")
+            for name in ("c", "c2"):
+                assert len(PolyFrame("Q", name, conn)) == 5, conn.language
+            conn.register("Q", "y", pd.DataFrame({"z": [1, 2]}))
+            got = PolyFrame("Q", "c2", conn).toPandas()
+            assert got.to_dict("list") == {"z": [1, 2]}, conn.language
+
+    def test_alias_on_a_view_another_dataset_holds_is_refused(self, spark):
+        # Q.A_b and Q_A.b both map to the temp view Q_A_b
+        for conn in spark_backed(spark):
+            conn.register("Q", "n", pd.DataFrame({"x": range(5)}))
+            conn.register("Q_A", "b", pd.DataFrame({"x": range(3)}))
+            with pytest.raises(ValueError, match="holds view"):
+                conn.alias("Q", "A_b", "n")
+            assert len(PolyFrame("Q_A", "b", conn)) == 3, conn.language
+
     def test_spark_alias_carries_no_sql_text(self, spark):
         # a Dataset view: Spark does not parse and analyze it in each query
         from repro.backends.spark import view_name
