@@ -85,20 +85,29 @@ def compilers(spark) -> dict:
     }
 
 
+def dump(spark) -> str:
+    """The whole dump: each formed text, and for SQL++, Mongo and Cypher the
+    Spark SQL of each text sent. It registers ``Test.Users``, ``Bench.wisconsin``
+    and ``Bench.wisconsin2`` in ``spark``."""
+    lines = []
+    compile_to_spark = compilers(spark)
+    for language in BACKENDS:
+        for name, case in CASES.items():
+            for i, (coll, text) in enumerate(formed(language, case)):
+                lines.append(f"==== {language} {name} [{i}] {coll or 'formed'}\n{text}")
+                if coll is not None and language in compile_to_spark:
+                    try:
+                        sql = compile_to_spark[language](text, coll)
+                    except Exception as exc:
+                        sql = f"ERROR {type(exc).__name__}: {exc}"
+                    lines.append(f"---- spark sql\n{sql}")
+    return "".join(line + "\n" for line in lines)
+
+
 def main() -> None:
     spark = local_spark()
     try:
-        compile_to_spark = compilers(spark)
-        for language in BACKENDS:
-            for name, case in CASES.items():
-                for i, (coll, text) in enumerate(formed(language, case)):
-                    print(f"==== {language} {name} [{i}] {coll or 'formed'}\n{text}")
-                    if coll is not None and language in compile_to_spark:
-                        try:
-                            sql = compile_to_spark[language](text, coll)
-                        except Exception as exc:
-                            sql = f"ERROR {type(exc).__name__}: {exc}"
-                        print(f"---- spark sql\n{sql}")
+        print(dump(spark), end="")
     finally:
         spark.stop()
 
