@@ -12,12 +12,14 @@ call, then ``toPandas``.
 All three subclass :class:`~repro.backends.spark.SparkConnector`, so they
 share its registration (one temp view per ``namespace.collection``, held in
 the registry :mod:`repro.backends.registry` keeps per session) and
-initialization. The Mongo and Cypher engines
-are built from their connector and ask it: ``initialize`` rejects an
-unknown collection or label, and Mongo alone also reads a collection's
-column names as they are now through ``SparkConnector.get_columns``, which is
-not part of the connector contract. A Mongo ``$lookup.from`` or a Cypher
-label resolves in the namespace of the action.
+initialization. The Mongo and Cypher engines are each a
+:class:`~repro.translate.SparkCompiler` built from their connector: it binds
+the session's ``spark.sql`` once, resolves each collection or label through
+the connector's ``initialize``, which rejects an unknown one, and runs the
+compiled text. Mongo alone also reads a collection's column names as they
+are now through ``SparkConnector.get_columns``, which is not part of the
+connector contract. A Mongo ``$lookup.from`` or a Cypher label resolves in
+the namespace of the action.
 """
 from __future__ import annotations
 

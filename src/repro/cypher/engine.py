@@ -38,21 +38,19 @@ as ``\\u00XX`` (``RewriteRules.literal``).
 Leaf expressions keep their ``t.``/``r.`` references; only functions are
 renamed, to the Spark SQL function of the same call shape (``stDevP``→
 ``stddev_pop``, ``apoc.convert.toInteger``/``toString``→ the cast
-functions ``int``/``string``), never inside string literals. Compiling
-keeps no column list: Spark resolves ``t.x``, ``r.x`` and ``*`` against the
-views as they are when the query is analyzed. Each label is checked by the ``initialize`` of the
-connector the engine serves, which reads the catalog only for a label the
-session's registry does not hold yet.
+functions ``int``/``string``), never inside string literals or backticked
+names; projection items split at commas outside them too. Compiling keeps
+no column list: Spark resolves ``t.x``, ``r.x`` and ``*`` against the views
+as they are when the query is analyzed. The engine is a
+:class:`~repro.translate.SparkCompiler`: each label resolves through the
+``initialize`` of the connector the engine serves, which reads the catalog
+only for a label the session's registry does not hold yet.
 """
 from __future__ import annotations
 
 import re
 
-from pyspark.sql import DataFrame
-
-from repro.backends.spark import SparkConnector, view_name
-from repro.core.connector import DatasetNotRegistered
-from repro.translate import outside_literals, quote_ident as q
+from repro.translate import SparkCompiler, hide_literals, outside_literals, quote_ident as q
 
 _AGG_HEAD_RE = re.compile(r"^\s*(min|max|avg|count|stddev_pop)\s*\(", re.IGNORECASE)
 #: A clause starts at each line that starts with MATCH, WITH or RETURN, so a
@@ -77,51 +75,36 @@ class CypherEngineError(ValueError):
 
 
 def _split_top_level(text: str) -> list[str]:
-    """Split on commas outside quotes/parens/braces/brackets."""
-    parts, depth, quote, start = [], 0, None, 0
-    escaped = False  # the character before was a backslash inside quotes
-    for i, ch in enumerate(text):
-        if escaped:
-            escaped = False
-        elif quote:
-            if ch == "\\":
-                escaped = True
-            elif ch == quote:
-                quote = None
-        elif ch in "'\"`":
-            quote = ch
-        elif ch in "([{":
+    """Split on commas outside literals, backticked names, parens, braces
+    and brackets."""
+    hidden, restore = hide_literals(text)
+    parts, depth, start = [], 0, 0
+    for i, ch in enumerate(hidden):
+        if ch in "([{":
             depth += 1
         elif ch in ")]}":
             depth -= 1
         elif ch == "," and depth == 0:
-            parts.append(text[start:i])
+            parts.append(hidden[start:i])
             start = i + 1
-    parts.append(text[start:])
-    return [p.strip() for p in parts if p.strip()]
+    parts.append(hidden[start:])
+    return [restore(p).strip() for p in parts if p.strip()]
 
 
 def _to_sql(expr: str) -> str:
     """Translate a leaf Cypher expression into a Spark SQL expression: each
-    function of :data:`_FUNCTIONS` is renamed, never inside a string literal."""
+    function of :data:`_FUNCTIONS` is renamed, never inside a string literal
+    or a backticked name."""
     return outside_literals(
         expr, lambda text: _FUNCTION_RE.sub(lambda m: _FUNCTIONS[m[1]] + "(", text)
     )
 
 
-class CypherEngine:
+class CypherEngine(SparkCompiler):
     """Compiles PolyFrame's linear Cypher over the labels of ``connector``
-    to Spark SQL and runs each query with one ``spark.sql`` call."""
+    to Spark SQL; ``execute(query, namespace)`` runs one query."""
 
-    def __init__(self, connector: SparkConnector):
-        self.connector = connector
-        # Bound once: the engine's DataFrame is the action's only one, and a
-        # wrapper later put on the session must not see its query again.
-        self.sql = connector.spark.sql
-
-    # ------------------------------------------------------------------
-    def execute(self, query: str, namespace: str) -> DataFrame:
-        return self.sql(self.compile(query, namespace))
+    error = CypherEngineError
 
     def compile(self, query: str, namespace: str) -> str:
         """The Spark SQL text of ``query``; labels resolve in ``namespace``."""
@@ -129,25 +112,18 @@ class CypherEngine:
         first, *clauses = _CLAUSE_START_RE.split(text)
         if not (m := _ANCHOR_RE.fullmatch(first)):
             raise CypherEngineError(f"query must start with MATCH (t: Label), got {first!r}")
-        src = f"{self._view(m.group(1), namespace)} t"  # the FROM item binding t (and r)
+        src = f"{self._view(namespace, m.group(1), 'label')} t"  # the FROM item binding t (and r)
         if not clauses or not (ret := _RETURN_RE.fullmatch(clauses[-1])):
             raise CypherEngineError("query must end with RETURN, and LIMIT on the next line")
         for clause in clauses[:-1]:
             if m := _WITH_RE.fullmatch(clause):
                 src = f"({self._with(src, m.group(1))}) t"
             elif m := _JOIN_RE.fullmatch(clause):
-                src = self._join(src, self._view(m.group(1), namespace), m.group(2))
+                src = self._join(src, self._view(namespace, m.group(1), "label"), m.group(2))
             else:
                 raise CypherEngineError(f"unsupported clause: {clause!r}")
         sql = self._return(src, ret.group(1))
         return f"{sql} LIMIT {int(ret.group(2))}" if ret.group(2) else sql
-
-    def _view(self, label: str, ns: str) -> str:
-        try:
-            self.connector.initialize(ns, label)
-        except DatasetNotRegistered:
-            raise CypherEngineError(f"unknown label {label!r}") from None
-        return q(view_name(ns, label))
 
     # ------------------------------------------------------------------
     def _join(self, src: str, view: str, pred: str) -> str:

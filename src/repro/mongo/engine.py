@@ -35,22 +35,20 @@ operators and literals read as on the sparksql backend. A comparison with
 ``null`` keeps its BSON meaning, null and missing sorting below every value,
 through ``is_missing`` (``$lt``, ``$lte``, ``$eq``) and ``not_missing``.
 
-Compiling makes one catalog read per scanned collection: the engine asks
-the connector it serves, whose ``initialize`` rejects an unknown collection
-and whose ``get_columns`` gives the collection's column names as they are
-now, so a view replaced elsewhere is read with its new schema.
+The engine is a :class:`~repro.translate.SparkCompiler`: each scanned
+collection resolves through the ``initialize`` of the connector the engine
+serves, which rejects an unknown collection. Compiling then makes one
+catalog read per scan: the connector's ``get_columns`` gives the
+collection's column names as they are now, so a view replaced elsewhere is
+read with its new schema.
 """
 from __future__ import annotations
 
 from functools import reduce
 from typing import Any
 
-from pyspark.sql import DataFrame
-
-from repro.backends.spark import SparkConnector, view_name
-from repro.core.connector import DatasetNotRegistered
 from repro.core.rewrite import load_language, required_variables
-from repro.translate import quote_ident as q
+from repro.translate import SparkCompiler, quote_ident as q
 
 #: Mongo expression operator -> the ``sparksql.ini`` rule that writes it
 _RULES = {
@@ -110,21 +108,13 @@ def _stage(stage: Any) -> tuple[str, Any]:
     return name, spec
 
 
-class MongoEngine:
+class MongoEngine(SparkCompiler):
     """Compiles aggregation pipelines over the collections of ``connector``
-    to Spark SQL and runs each with one ``spark.sql`` call."""
+    to Spark SQL; ``execute(pipeline, collection, namespace)`` runs one."""
 
-    def __init__(self, connector: SparkConnector):
-        self.connector = connector
-        # Bound once: the engine's DataFrame is the action's only one, and a
-        # wrapper later put on the session must not see its query again.
-        self.sql = connector.spark.sql
-        #: Spark SQL's expression and literal syntax, declared in ``sparksql.ini``
-        self.spark_sql = load_language("sparksql")
-
-    # ------------------------------------------------------------------
-    def execute(self, pipeline: list[dict], collection: str, namespace: str) -> DataFrame:
-        return self.sql(self.compile(pipeline, collection, namespace))
+    error = MongoEngineError
+    #: Spark SQL's expression and literal syntax, declared in ``sparksql.ini``
+    spark_sql = load_language("sparksql")
 
     def compile(self, pipeline: list[dict], collection: str, namespace: str) -> str:
         """The Spark SQL text of ``pipeline`` run on ``collection``; every
@@ -144,12 +134,8 @@ class MongoEngine:
         return query
 
     def _scan(self, collection: str, ns: str) -> SqlQuery:
-        try:
-            self.connector.initialize(ns, collection)
-        except DatasetNotRegistered:
-            raise MongoEngineError(f"unknown collection {collection!r}") from None
-        cols = self.connector.get_columns(ns, collection)
-        return SqlQuery(f"SELECT * FROM {q(view_name(ns, collection))}", cols)
+        view = self._view(ns, collection, "collection")
+        return SqlQuery(f"SELECT * FROM {view}", self.connector.get_columns(ns, collection))
 
     # ------------------------------------------------------------------
     # expressions -> Spark SQL

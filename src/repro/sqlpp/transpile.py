@@ -15,8 +15,8 @@ translates that SQL++ subset into Spark SQL, preserving semantics:
 * ``to_bigint(e)`` / ``to_string(e)``      → ``bigint(e)`` / ``string(e)``
   (Spark SQL's cast functions: a rename, so no call is parsed)
 
-None of these rewrites applies inside a string literal
-(:func:`repro.translate.outside_literals`).
+None of these rewrites applies inside a string literal or a backticked
+name (:func:`repro.translate.outside_literals`).
 
 The transpiler is deliberately narrow: it accepts exactly the composable
 subset PolyFrame emits and raises on anything else it cannot place.

@@ -46,6 +46,15 @@ class TestHelpers:
     def test_split_top_level_respects_quotes(self):
         assert _split_top_level("'a,b': 1, 'c': 2") == ["'a,b': 1", "'c': 2"]
 
+    def test_split_top_level_respects_backticked_names(self):
+        assert _split_top_level("'a': t.`x,y`, 'b': 1") == ["'a': t.`x,y`", "'b': 1"]
+
+    def test_split_top_level_reads_an_open_quote_to_the_end(self):
+        assert _split_top_level("'a': 1, 'b, c") == ["'a': 1", "'b, c"]
+
+    def test_to_sql_renames_no_function_in_a_backticked_name(self):
+        assert _to_sql("stDevP(t.`stDevP(a)`)") == "stddev_pop(t.`stDevP(a)`)"
+
     def test_to_sql_function_mapping(self):
         assert _to_sql("stDevP(t.a)") == "stddev_pop(t.a)"
         assert _to_sql("apoc.convert.toInteger(t.a = 1)") == "int(t.a = 1)"
