@@ -365,7 +365,8 @@ class PolyFrameColumn(_Lazy):
         Raises ``ValueError`` if ``other`` is a column of another frame, and
         ``TypeError`` for ``-`` or ``/`` of two boolean operands, as pandas,
         and for a ``None`` operand: pandas gives a constant or raises, and
-        no rule forms that constant.
+        no rule forms that constant. ``/`` or ``%`` by a literal zero raises
+        ``ZeroDivisionError``: pandas gives inf or NaN, and no backend does.
         """
         if other is None:
             raise TypeError(f"{rule!r} of None has no rule; test for NULL with isna() or notna()")
@@ -375,6 +376,8 @@ class PolyFrameColumn(_Lazy):
         else:
             other = _native(other)
             other_boolean = isinstance(other, bool)
+            if rule in ("div", "mod") and other == 0:
+                raise ZeroDivisionError(f"{rule} by a literal zero: no rule forms pandas' inf or NaN")
         if rule in _BOOLEAN_ARITHMETIC and other_boolean and self.rule in _BOOLEANS:
             if _BOOLEAN_ARITHMETIC[rule] is None:
                 raise TypeError(f"pandas cannot {rule} two boolean operands")

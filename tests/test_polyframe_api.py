@@ -97,6 +97,17 @@ class TestArithmetic:
         want = wdata["two"] + wdata["four"]
         assert sorted(got.iloc[:, 0]) == sorted(want)
 
+    @pytest.mark.parametrize("op", [operator.truediv, operator.mod], ids=lambda op: op.__name__)
+    @pytest.mark.parametrize("zero", [0, 0.0, False], ids=repr)
+    def test_literal_zero_divisor_raises_at_formation(self, backend, op, zero):
+        # pandas gives inf, -inf or NaN for / 0 and NaN for % 0; the Spark
+        # backends raise DIVIDE_BY_ZERO or REMAINDER_BY_ZERO at the action,
+        # and DuckDB returns NULL
+        _, conn = backend
+        pf, _ = polyframes(conn)
+        with nothing_sent(conn), pytest.raises(ZeroDivisionError, match="literal zero"):
+            op(pf["unique1"], zero)
+
 
 class TestComparisonsAndLogicals:
     def test_ne(self, spf, wdata):
