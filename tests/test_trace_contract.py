@@ -72,3 +72,11 @@ def test_compilers_are_timed_as_engine_builds(traced):
         assert "spark.sql_ms" not in traced[backend]
     for backend in ("sparksql", "sqlpp"):
         assert "spark.sql_ms" in traced[backend]
+
+
+def test_spark_actions_fetch_through_to_pandas(traced):
+    # execute_fetch_ms is the wrapped toPandas less Spark's planning; the
+    # tracer reads to_pandas_ms as 0 when no wrapped toPandas ran
+    for backend in BACKENDS:
+        if backend != "sql":
+            assert traced[backend]["to_pandas_ms"] > 0
