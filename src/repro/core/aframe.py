@@ -21,12 +21,13 @@ and has none of the frame's transformations, so ``merge``, ``groupby``,
 ``sort_values`` and a name or list key raise at formation.
 
 Column expressions mirror Table I of the paper. Every column operation is
-one derivation step (:meth:`PolyFrameColumn._derive`) with one rule. The
-new column's ``expr`` composes over the column's ``frame``, so ``pf[pf['lang']
-== 'en']`` filters that frame (Table I footnote 1), also after ``map`` or
-arithmetic. Its own query wraps the column's query and reads it by name
-(Table I row 3), unless the op reads a second column: then it composes
-over the frame, where both operands are in scope. ``series[predicate]``
+one derivation step (:meth:`PolyFrameColumn._derive`) with one rule: the
+new column's ``expr`` composes over the column's ``frame``, and its value
+query is q7 of that ``expr`` over the frame's query, so a chain of any
+length is one q7 over its frame. ``pf[pf['lang'] == 'en']`` filters that
+frame (Table I footnote 1), also after ``map`` or arithmetic. An op on a
+dataset attribute alone keeps Table I row 3's form: its q7 wraps the
+attribute's own q2, which ``expr`` reads by name. ``series[predicate]``
 is the column taken from ``frame[predicate]``, as pandas filters a
 Series. Every expression rule yields a complete expression of its language
 (a Mongo operator nests as JSON), so no derivation needs a
@@ -272,10 +273,17 @@ class PolyFrame(_Lazy):
         raise TypeError(f"unsupported key type: {type(key).__name__}")
 
     def sort_values(self, by: str, ascending: bool = True) -> "PolyFrame":
+        """Sort by one column. ``ascending`` is a bool, 0 or 1, or a list or
+        tuple of one of them, as pandas takes it for one column. Anything
+        else raises ``ValueError``, as pandas does for a non-bool or a list
+        of another length."""
         if not isinstance(by, str):
             raise TypeError("sort_values supports a single attribute name")
+        one = ascending[0] if isinstance(ascending, (list, tuple)) and len(ascending) == 1 else ascending
+        if type(_native(one)) not in (bool, int) or one not in (0, 1):
+            raise ValueError(f"ascending takes a bool, or a list of one for one column, not {ascending!r}")
         # the attribute rule writes the direction, q4 the ORDER BY
-        rule = "sort_asc_attr" if ascending else "sort_desc_attr"
+        rule = "sort_asc_attr" if one else "sort_desc_attr"
         attr = self.rules.apply(rule, attribute=by)
         return self._frame(self.rules.apply("q4", subquery=self.query, sort_attr=attr))
 
@@ -299,13 +307,15 @@ class PolyFrame(_Lazy):
     ) -> "PolyFrame":
         """Equi-join, like ``pd.merge`` (inner only, as in the paper).
         Raises ``ValueError`` if ``other`` has another connector: one query
-        reads both sides from one backend."""
+        reads both sides from one backend; and for ``on`` with ``left_on``
+        or ``right_on``, as pandas does."""
         if other.connector is not self.connector:
             raise ValueError("cannot merge frames of different connectors")
         if how != "inner":
             raise ValueError("only inner joins are supported (paper's expr. 12)")
-        if on is not None:
-            left_on = right_on = on
+        if on is not None and (left_on, right_on) != (None, None):
+            raise ValueError('pass "on" or "left_on" and "right_on", not a combination of both')
+        left_on, right_on = (left_on, right_on) if on is None else (on, on)
         if left_on is None or right_on is None:
             raise ValueError("merge requires `on` or both `left_on`/`right_on`")
         return self._frame(
@@ -359,8 +369,9 @@ class PolyFrameColumn(_Lazy):
         """Derive a column by applying rewrite rule ``rule`` to this column
         and, for a binary rule, to ``other`` (a column or a literal); the
         result is named ``name``. Applies the module's one rule: ``expr``
-        over the frame; the value query over the frame if ``other`` is a
-        column, else over this column's own query, by name.
+        over the frame, and the value query q7 of ``expr`` over the frame's
+        query, or over the attribute's own q2 for an op on a dataset
+        attribute alone (Table I row 3).
 
         Raises ``ValueError`` if ``other`` is a column of another frame, and
         ``TypeError`` for ``-`` or ``/`` of two boolean operands, as pandas,
@@ -383,32 +394,28 @@ class PolyFrameColumn(_Lazy):
                 raise TypeError(f"pandas cannot {rule} two boolean operands")
             rule = _BOOLEAN_ARITHMETIC[rule]
 
-        def operand(column: PolyFrameColumn, text: str) -> str:
+        def operand(column: PolyFrameColumn) -> str:
             if rule in _ARITHMETIC and column.rule in _BOOLEANS:
-                return self.rules.apply("to_int", statement=text)
+                return self.rules.apply("to_int", statement=column.expr)
             if rule in _COMPARISONS and column.rule in _COMPARISONS:
-                return self.rules.apply("group", statement=text)
-            return text
+                return self.rules.apply("group", statement=column.expr)
+            return column.expr
 
         variables = {}
         if isinstance(other, PolyFrameColumn):
-            variables["right"] = operand(other, other.expr)
+            variables["right"] = operand(other)
         elif other is not _UNARY:
             # under arithmetic a boolean literal is its 0/1, as in pandas
             value = int(other) if rule in _ARITHMETIC and other_boolean else other
             variables["right"] = self.rules.literal(value)
 
-        def form(text: str) -> str:
-            left = operand(self, text)
-            return self.rules.apply(rule, left=left, statement=left, **variables)
-
-        expr = form(self.expr)
-        if isinstance(other, PolyFrameColumn):
-            subquery, statement = self.frame.query, expr
-        else:
-            ref = self.rules.apply("single_attribute", attribute=self.name)
-            subquery, statement = self.query, form(ref)
-        query = self.rules.apply("q7", subquery=subquery, statement=statement, alias=name)
+        left = operand(self)
+        expr = self.rules.apply(rule, left=left, statement=left, **variables)
+        # Table I row 3: an op on a dataset attribute alone wraps its q2,
+        # where ``expr`` reads the attribute by name
+        alone = self.rule is None and not isinstance(other, PolyFrameColumn)
+        subquery = self.query if alone else self.frame.query
+        query = self.rules.apply("q7", subquery=subquery, statement=expr, alias=name)
         return PolyFrameColumn(self.frame, query, expr, name, rule)
 
     # comparisons return boolean columns (Table I row 3)
@@ -475,8 +482,8 @@ class PolyFrameColumn(_Lazy):
         (q9, projected by q2) of a frame of this column's values, then the
         projection is composed from comparison + type-conversion + alias
         rewrite rules. Both wrap this column's own query and read it by
-        name, like any op on this column alone. Returns a lazy PolyFrame
-        (the projection itself is a transformation).
+        name. Returns a lazy PolyFrame (the projection itself is a
+        transformation).
         """
         values_frame = self.frame._frame(self.query)
         values = values_frame.groupby(self.name).agg("count")[[self.name]].toPandas().iloc[:, 0]

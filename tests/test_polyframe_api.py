@@ -6,6 +6,7 @@ formation behaviour uses the RecordingConnector.
 from __future__ import annotations
 
 import contextlib
+import functools
 import operator
 
 import duckdb
@@ -278,11 +279,13 @@ CHAINS = {
     "series-filter-max": lambda f: f["unique1"][f["four"] > 1].max(),
     "series-filter-len": lambda f: len(f["unique1"][f["tenPercent"].isna()]),
     "map-series-filter": lambda f: f["string4"].map(str.lower)[f["two"] == 1],
+    # eight steps of x = x * 2 + 1, formed as one q7 over the frame
+    "arith-depth-8": lambda f: functools.reduce(lambda col, _: col * 2 + 1, range(8), f["ten"]),
 }
 
-#: after a ``map``, SQL++ ``SELECT VALUE`` drops the column name, so a
-#: further step fails (DESIGN.md §3)
-SQLPP_LEFT_OUT = {"map-arith", "map-map", "map-max"}
+#: an aggregate of a computed column reads it by name, and SQL++ ``SELECT
+#: VALUE`` drops that name (DESIGN.md §3)
+SQLPP_LEFT_OUT = {"map-max"}
 
 
 def _values(result):
@@ -313,6 +316,17 @@ class TestChainedColumns:
         _, conn = backend
         pf, _ = polyframes(conn)
         assert _values(CHAINS[chain](pf)) == _values(CHAINS[chain](wdata))
+
+    @pytest.mark.parametrize("language", BACKENDS)
+    @pytest.mark.parametrize("steps", [1, 4, 16])
+    def test_chain_is_one_q7_over_its_frame(self, language, steps):
+        # each step composes its expr over the frame, so the text's depth
+        # does not grow with the chain
+        conn = RecordingConnector(language)
+        pf = PolyFrame("T", "a", conn)
+        x = functools.reduce(lambda col, _: col * 2 + 1, range(steps), pf["x"])
+        assert x.query == conn.rules.apply("q7", subquery=pf.query, statement=x.expr, alias=x.name)
+        assert conn.queries == []
 
     def test_mongo_stage_text_not_json_raises_typed_error(self, spark, backends):
         rules = load_language("mongo").copy()
@@ -445,11 +459,47 @@ class TestMerge:
         with pytest.raises(ValueError, match="inner"):
             spf.merge(spf, on="unique1", how="left")
 
+    @pytest.mark.parametrize("language", BACKENDS)
+    @pytest.mark.parametrize(
+        "keys", [{"left_on": "k"}, {"right_on": "k"}, {"left_on": "k", "right_on": "j"}]
+    )
+    def test_on_with_left_or_right_on_raises_at_formation(self, language, keys):
+        # pandas raises MergeError, a ValueError, and nothing is joined
+        frame = pd.DataFrame({"k": [1, 2], "j": [2, 1]})
+        with pytest.raises(ValueError):
+            frame.merge(frame, on="k", **keys)
+        conn = RecordingConnector(language)
+        pf = PolyFrame("T", "a", conn)
+        with pytest.raises(ValueError, match="combination"):
+            pf.merge(pf, on="k", **keys).head()
+        assert conn.queries == []
+
     def test_selective_join(self, backends, wdata):
         pf, pf2 = polyframes(backends["sparksql"])
         filtered = pf[pf["ten"] == 3]
         got = len(filtered.merge(pf2, on="unique1"))
         assert got == int((wdata["ten"] == 3).sum())
+
+
+class TestSortValues:
+    @pytest.mark.parametrize(
+        "ascending", [[False], (False,), [True], 0, 1], ids=["[False]", "(False,)", "[True]", "0", "1"]
+    )
+    def test_ascending_as_pandas(self, backend, wdata, ascending):
+        # pandas reads a list of one as its one value, for one column
+        pf, _ = polyframes(backend[1])
+        got = pf.sort_values("unique1", ascending=ascending).head(5)
+        want = wdata.sort_values("unique1", ascending=ascending).head(5)
+        assert got["unique1"].tolist() == want["unique1"].tolist()
+
+    @pytest.mark.parametrize("language", BACKENDS)
+    @pytest.mark.parametrize("ascending", [[True, False], [], "no", None, 1.0, 2, [[False]]])
+    def test_other_ascending_raises_at_formation(self, language, ascending):
+        # pandas raises ValueError for each but 2, which it reads as True
+        conn = RecordingConnector(language)
+        with pytest.raises(ValueError, match="ascending"):
+            PolyFrame("T", "a", conn).sort_values("k", ascending=ascending).head()
+        assert conn.queries == []
 
 
 class TestFramesOfTwoConnectors:
