@@ -15,13 +15,16 @@ either a
   ``len(pf)``, scalar aggregates, ``describe``).
 
 A frame and a column share one private base class, which holds the
-dataset, the connector, ``query`` and the actions. A
+dataset, the connector and the actions over ``query``. A
 :class:`PolyFrameColumn` is not a frame: it holds the frame it came from
 and has none of the frame's transformations, so ``merge``, ``groupby``,
 ``sort_values`` and a name or list key raise at formation.
 
-Column expressions mirror Table I of the paper. Every column operation is
-one derivation step (:meth:`PolyFrameColumn._derive`) with one rule: the
+Column expressions mirror Table I of the paper. A column is its frame, its
+``expr``, its name and the rule that formed ``expr``; its value query is
+formed from them only when it is read (:attr:`PolyFrameColumn.query`), so a
+filter key, which reads only ``expr``, forms none. Every column operation
+is one derivation step (:meth:`PolyFrameColumn._derive`) with one rule: the
 new column's ``expr`` composes over the column's ``frame``, and its value
 query is q7 of that ``expr`` over the frame's query, so a chain of any
 length is one q7 over its frame. ``pf[pf['lang'] == 'en']`` filters that
@@ -103,11 +106,10 @@ class _Lazy:
     """A query over one dataset of one connector, and the actions that run
     it: the part a frame and a column share."""
 
-    def __init__(self, namespace: str, collection: str, connector: DBConnector, query: str):
+    def __init__(self, namespace: str, collection: str, connector: DBConnector):
         self.namespace = namespace
         self.collection = collection
         self.connector = connector
-        self.query = query
 
     @property
     def rules(self) -> RewriteRules:
@@ -227,7 +229,8 @@ class PolyFrame(_Lazy):
             # PolyFrame is query-formation time only).
             connector.initialize(namespace, collection)
             _query = connector.rules.apply("q1", namespace=namespace, collection=collection)
-        super().__init__(namespace, collection, connector, _query)
+        super().__init__(namespace, collection, connector)
+        self.query = _query
 
     def _frame(self, query: str) -> "PolyFrame":
         return PolyFrame(self.namespace, self.collection, self.connector, _query=query)
@@ -263,10 +266,7 @@ class PolyFrame(_Lazy):
             self._check_frame(key)
             return self._frame(self.rules.apply("q6", subquery=self.query, statement=key.expr))
         if isinstance(key, str):
-            proj = self.rules.apply("proj_attr", attribute=key)
-            query = self.rules.apply("q2", subquery=self.query, attribute_alias=proj)
-            expr = self.rules.apply("single_attribute", attribute=key)
-            return PolyFrameColumn(self, query, expr, key)
+            return PolyFrameColumn(self, self.rules.apply("single_attribute", attribute=key), key)
         if isinstance(key, (list, tuple)):
             items = self.rules.join_items([self.rules.apply("proj_attr", attribute=a) for a in key])
             return self._frame(self.rules.apply("q2", subquery=self.query, attribute_alias=items))
@@ -336,19 +336,35 @@ class PolyFrameColumn(_Lazy):
     Holds ``frame`` — the frame it came from, which every column derived
     from it keeps; ``expr`` — the language-specific fragment denoting this
     column inside a statement over ``frame``; ``name`` — its output alias;
-    and ``rule`` — the rule that formed ``expr`` (``None`` for a dataset
-    attribute). ``query`` is the column's own value query.
+    ``rule`` — the rule that formed ``expr`` (``None`` for a dataset
+    attribute); and ``over`` — the dataset attribute whose value query an
+    op on that attribute alone wraps (Table I row 3), else ``None``.
+    ``query``, the column's own value query, is formed from these each time
+    it is read, with the connector's rules at that time.
 
     A column has the actions of a frame but none of its transformations:
     its only key is a boolean column of its dataset (``series[predicate]``).
     """
 
-    def __init__(self, frame: PolyFrame, query: str, expr: str, name: str, rule: str | None = None):
-        super().__init__(frame.namespace, frame.collection, frame.connector, query)
+    def __init__(self, frame: PolyFrame, expr: str, name: str, rule: str | None = None,
+                 over: PolyFrameColumn | None = None):
+        super().__init__(frame.namespace, frame.collection, frame.connector)
         self.frame = frame
         self.expr = expr
         self.name = name
         self.rule = rule
+        self.over = over
+
+    @property
+    def query(self) -> str:
+        """The column's value query, formed when read: q2 of the attribute
+        over the frame's query for a dataset attribute, otherwise q7 of
+        ``expr`` over ``over``'s query, or over the frame's."""
+        if self.rule is None:
+            proj = self.rules.apply("proj_attr", attribute=self.name)
+            return self.rules.apply("q2", subquery=self.frame.query, attribute_alias=proj)
+        subquery = (self.frame if self.over is None else self.over).query
+        return self.rules.apply("q7", subquery=subquery, statement=self.expr, alias=self.name)
 
     def __getitem__(self, key: "PolyFrameColumn") -> "PolyFrameColumn":
         """This column of ``frame[key]``, as pandas filters a Series by a
@@ -356,11 +372,7 @@ class PolyFrameColumn(_Lazy):
         ``ValueError`` for a column of another dataset or connector."""
         if not isinstance(key, PolyFrameColumn):
             raise TypeError(f"a column takes a boolean column as key, not {type(key).__name__}")
-        rows = self.frame[key]
-        if self.rule is None:
-            return rows[self.name]
-        query = self.rules.apply("q7", subquery=rows.query, statement=self.expr, alias=self.name)
-        return PolyFrameColumn(rows, query, self.expr, self.name, self.rule)
+        return PolyFrameColumn(self.frame[key], self.expr, self.name, self.rule)
 
     # -- the derivation step -------------------------------------------
     def _derive(
@@ -369,9 +381,9 @@ class PolyFrameColumn(_Lazy):
         """Derive a column by applying rewrite rule ``rule`` to this column
         and, for a binary rule, to ``other`` (a column or a literal); the
         result is named ``name``. Applies the module's one rule: ``expr``
-        over the frame, and the value query q7 of ``expr`` over the frame's
-        query, or over the attribute's own q2 for an op on a dataset
-        attribute alone (Table I row 3).
+        over the frame; the value query, formed when read, is q7 of
+        ``expr`` over the frame's query, or over the attribute's own q2 for
+        an op on a dataset attribute alone (``over``, Table I row 3).
 
         Raises ``ValueError`` if ``other`` is a column of another frame, and
         ``TypeError`` for ``-`` or ``/`` of two boolean operands, as pandas,
@@ -414,9 +426,7 @@ class PolyFrameColumn(_Lazy):
         # Table I row 3: an op on a dataset attribute alone wraps its q2,
         # where ``expr`` reads the attribute by name
         alone = self.rule is None and not isinstance(other, PolyFrameColumn)
-        subquery = self.query if alone else self.frame.query
-        query = self.rules.apply("q7", subquery=subquery, statement=expr, alias=name)
-        return PolyFrameColumn(self.frame, query, expr, name, rule)
+        return PolyFrameColumn(self.frame, expr, name, rule, over=self if alone else None)
 
     # comparisons return boolean columns (Table I row 3)
     __eq__ = _operator("eq")  # type: ignore[assignment]
@@ -480,10 +490,11 @@ class PolyFrameColumn(_Lazy):
         """One-hot encode this column — a *generic rule* (paper §III-C-2):
         an action fetches the distinct values as the keys of a group-by
         (q9, projected by q2) of a frame of this column's values, then the
-        projection is composed from comparison + type-conversion + alias
-        rewrite rules. Both wrap this column's own query and read it by
-        name. Returns a lazy PolyFrame (the projection itself is a
-        transformation).
+        projection (q2) aliases one column of that frame per value,
+        ``(values_frame[name] == v).astype(int)``, so it is formed by the
+        same comparison and cast steps as any column. Both wrap this
+        column's value query, formed once, and read it by name. Returns a
+        lazy PolyFrame (the projection itself is a transformation).
         """
         values_frame = self.frame._frame(self.query)
         values = values_frame.groupby(self.name).agg("count")[[self.name]].toPandas().iloc[:, 0]
@@ -491,17 +502,13 @@ class PolyFrameColumn(_Lazy):
             {_native(v) for v in values.dropna().tolist()},
             key=lambda v: (str(type(v)), v),
         )
-        ref = self.rules.apply("single_attribute", attribute=self.name)
+        column = values_frame[self.name]
         items = []
         for v in distinct:
-            cmp_expr = self.rules.apply("eq", left=ref, right=self.rules.literal(v))
-            int_expr = self.rules.apply("to_int", statement=cmp_expr)
-            alias = f"{self.name}_{v}"
-            items.append(
-                self.rules.apply("attribute_alias", alias=alias, attribute=int_expr)
-            )
+            one_hot = (column == v).astype(int).expr
+            items.append(self.rules.apply("attribute_alias", alias=f"{self.name}_{v}", attribute=one_hot))
         query = self.rules.apply(
-            "q2", subquery=self.query, attribute_alias=self.rules.join_items(items)
+            "q2", subquery=values_frame.query, attribute_alias=self.rules.join_items(items)
         )
         return values_frame._frame(query)
 

@@ -26,6 +26,18 @@ DESCRIBED = {
     "string-column": lambda pf, pf2: pf["stringu1"],
 }
 
+#: input name -> a column of a frame, pandas or PolyFrame, to one-hot encode
+DUMMIES = {
+    "attribute": lambda f: f["four"],
+    "filtered-series": lambda f: f["string4"][f["two"] == 1],
+    "comparison": lambda f: f["ten"] > 5,
+    "float-with-nulls": lambda f: f["tenPercent"],
+}
+
+#: SQL++ writes a get_dummies alias unquoted, and ``tenPercent_1.0`` does
+#: not parse (DESIGN.md §3, known limits)
+DUMMIES_SQLPP_LEFT_OUT = {"float-with-nulls"}
+
 #: (frame, backend) whose ``toPandas()`` has no numeric column of a unique
 #: name: a string column; a sparksql join's ``l.*, r.*`` repeats every name,
 #: and a SQL++ join returns the structs ``l`` and ``r``
@@ -117,14 +129,20 @@ class TestDescribe:
 
 class TestGetDummies:
     def test_one_hot_matches_pandas(self, backend, wdata):
-        _, conn = backend
+        # one column per non-NULL value, named after the PolyFrame column
+        # and the value, with pandas' count of each and one row per value
+        name, conn = backend
         pf, _ = polyframes(conn)
-        got = pf["four"].get_dummies().toPandas()
-        want = pd.get_dummies(wdata["four"]).astype(int)
-        assert sorted(got.columns) == [f"four_{v}" for v in sorted(want.columns)]
-        assert got.shape[0] == len(wdata)
-        for v in want.columns:
-            assert int(got[f"four_{v}"].sum()) == int(want[v].sum())
+        for column, make in DUMMIES.items():
+            if name == "sqlpp" and column in DUMMIES_SQLPP_LEFT_OUT:
+                continue
+            series = make(pf)
+            got = series.get_dummies().toPandas()
+            want = pd.get_dummies(make(wdata)).astype(int)
+            assert sorted(got.columns) == sorted(f"{series.name}_{v}" for v in want.columns), column
+            assert got.shape[0] == len(want), column
+            for v in want.columns:
+                assert int(got[f"{series.name}_{v}"].sum()) == int(want[v].sum()), column
 
     def test_rows_are_exactly_one_hot(self, backend):
         _, conn = backend

@@ -328,6 +328,18 @@ class TestChainedColumns:
         assert x.query == conn.rules.apply("q7", subquery=pf.query, statement=x.expr, alias=x.name)
         assert conn.queries == []
 
+    @pytest.mark.parametrize("language", BACKENDS)
+    def test_filter_key_forms_no_value_query(self, language):
+        # a filter key reads only its expr, so no column forms its own q2
+        # or q7 on the way to the count
+        conn = RecordingConnector(language)
+        pf = PolyFrame("T", "a", conn)
+        applied = []
+        apply = conn.rules.apply
+        conn.rules.apply = lambda key, **variables: (applied.append(key), apply(key, **variables))[1]
+        len(pf[(pf["ten"] == 7) & (pf["two"] == 1)])
+        assert applied == ["single_attribute", "eq", "single_attribute", "eq", "and", "q6", "q3"]
+
     def test_mongo_stage_text_not_json_raises_typed_error(self, spark, backends):
         rules = load_language("mongo").copy()
         rules.set("q3", '$subquery,\n { "$count": count }')
