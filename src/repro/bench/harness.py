@@ -3,8 +3,9 @@
 The DataFrame benchmark (paper §IV-A, Appendix D) reports, per expression,
 both the **total runtime** (DataFrame creation + expression) and the
 **expression-only runtime**. For Pandas, creation means reading the JSON
-file into memory; for PolyFrame it is only forming q1 — no data is loaded,
-which is the paper's headline total-runtime contrast.
+file into memory; for PolyFrame it is only the connector's ``initialize``
+(the dataset exists) — no data is loaded and no query is formed, which is
+the paper's headline total-runtime contrast.
 """
 from __future__ import annotations
 
@@ -127,7 +128,7 @@ def run_pandas(json_path: str | Path, dataset: str, n_records: int) -> list[Timi
 def run_polyframe(
     connector: DBConnector, system: str, dataset: str, n_records: int
 ) -> list[TimingRow]:
-    """PolyFrame on one backend: creation = frame construction (q1 only)."""
+    """PolyFrame on one backend: creation = frame construction (``initialize`` only)."""
     creation_s, pf = timed(lambda: PolyFrame(NAMESPACE, COLLECTION, connector))
     pf2 = PolyFrame(NAMESPACE, COLLECTION2, connector)
     return _time_expressions((pf, pf2), system, dataset, n_records, creation_s)

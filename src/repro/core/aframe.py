@@ -1,43 +1,48 @@
 """PolyFrame: Pandas-like dataframes via incremental query formation.
 
 This is the paper's core contribution (§III). A :class:`PolyFrame` holds no
-data — only the query text accumulated so far (``self.query``) plus the
-connector that will eventually run it. Every Pandas-style operation is
-either a
+data — only its last formation step (``self.step``) plus the connector that
+will eventually run it. A step is a rewrite rule and its inputs, and an
+input that is itself a query is the parent's step, not its text: the
+paper's ``Q_{i+1}`` wraps ``Q_i`` (§III-B). ``query`` forms the text from
+the steps with the connector's rules each time it is read. Every
+Pandas-style operation is either a
 
-* **transformation** — applies a rewrite rule to the current query and
-  returns a *new* PolyFrame or column (``pf['a']``, ``pf[pf['a'] == 1]``,
-  ``groupby``, ``sort_values``, ``merge``, arithmetic/comparison on
-  columns, ``get_dummies``) — no query is executed, no intermediate
+* **transformation** — builds a step and returns a *new* PolyFrame or
+  column (``pf['a']``, ``pf[pf['a'] == 1]``, ``groupby``, ``sort_values``,
+  ``merge``, arithmetic/comparison on columns, ``get_dummies``) — it
+  applies no query rule (q1–q10), no query is executed, no intermediate
   result materializes; or an
-* **action** — finalizes the query (e.g. appends the language's LIMIT
-  rule) and ships it through the connector (``head``, ``toPandas``,
-  ``len(pf)``, scalar aggregates, ``describe``).
+* **action** — reads ``query`` once, finalizes it (e.g. appends the
+  language's LIMIT rule) and ships it through the connector (``head``,
+  ``toPandas``, ``len(pf)``, scalar aggregates, ``describe``).
 
 A frame and a column share one private base class, which holds the
-dataset, the connector and the actions over ``query``. A
+dataset, the connector, the step and the actions over its ``query``. A
 :class:`PolyFrameColumn` is not a frame: it holds the frame it came from
 and has none of the frame's transformations, so ``merge``, ``groupby``,
-``sort_values`` and a name or list key raise at formation.
+``sort_values`` and a name or list key raise at formation. Two frames
+compare by their steps, by value.
 
 Column expressions mirror Table I of the paper. A column is its frame, its
-``expr``, its name and the rule that formed ``expr``; its value query is
-formed from them only when it is read (:attr:`PolyFrameColumn.query`), so a
-filter key, which reads only ``expr``, forms none. Every column operation
-is one derivation step (:meth:`PolyFrameColumn._derive`) with one rule: the
-new column's ``expr`` composes over the column's ``frame``, and its value
-query is q7 of that ``expr`` over the frame's query, so a chain of any
-length is one q7 over its frame. ``pf[pf['lang'] == 'en']`` filters that
-frame (Table I footnote 1), also after ``map`` or arithmetic. An op on a
-dataset attribute alone keeps Table I row 3's form: its q7 wraps the
-attribute's own q2, which ``expr`` reads by name. ``series[predicate]``
-is the column taken from ``frame[predicate]``, as pandas filters a
-Series. Every expression rule yields a complete expression of its language
-(a Mongo operator nests as JSON), so no derivation needs a
-language-specific step.
+``expr``, its name and the rule that formed ``expr``; its step, built with
+it, is its value query: q2 of the attribute over the frame's step for a
+dataset attribute, else q7 of ``expr``. A filter key reads only ``expr``,
+so it forms no value query. Every column operation is one derivation
+(:meth:`PolyFrameColumn._derive`) with one rule: the new column's ``expr``
+composes over the column's ``frame``, and its step is q7 of that ``expr``
+over the frame's step, so a chain of any length is one q7 over its frame.
+``pf[pf['lang'] == 'en']`` filters that frame (Table I footnote 1), also
+after ``map`` or arithmetic. An op on a dataset attribute alone keeps
+Table I row 3's form: its q7 wraps the attribute's own q2 step, which
+``expr`` reads by name. ``series[predicate]`` is the column taken from
+``frame[predicate]``, as pandas filters a Series. Every expression rule
+yields a complete expression of its language (a Mongo operator nests as
+JSON), so no derivation needs a language-specific step.
 """
 from __future__ import annotations
 
+import copy
 import operator
 from typing import Callable
 
@@ -86,6 +91,21 @@ _BOOLEAN_ARITHMETIC = {"add": "or", "mul": "and", "sub": None, "div": None}
 _UNARY = object()
 
 
+class _Step(tuple):
+    """One formation step, ``(rule, *inputs)``: a rewrite rule key and the
+    (variable, value) pairs it is applied to. A value that is a step (the
+    parent query, or a column's ``proj_attr``) is formed first, so a step
+    compares by value and forms its text only when read, with the rules of
+    that time."""
+
+    def __new__(cls, rule: str, **inputs: object) -> "_Step":
+        return super().__new__(cls, (rule, *inputs.items()))
+
+    def form(self, rules: RewriteRules) -> str:
+        rule, *inputs = self
+        return rules.apply(rule, **{k: v.form(rules) if isinstance(v, _Step) else v for k, v in inputs})
+
+
 def _native(value: object) -> object:
     """Convert numpy scalars to python natives for literal formatting."""
     item = getattr(value, "item", None)
@@ -103,18 +123,25 @@ def _aggregate(func: str) -> Callable:
 
 
 class _Lazy:
-    """A query over one dataset of one connector, and the actions that run
-    it: the part a frame and a column share."""
+    """A query over one dataset of one connector, held as its last step, and
+    the actions that run it: the part a frame and a column share."""
 
-    def __init__(self, namespace: str, collection: str, connector: DBConnector):
+    def __init__(self, namespace: str, collection: str, connector: DBConnector, step: _Step):
         self.namespace = namespace
         self.collection = collection
         self.connector = connector
+        self.step = step
 
     @property
     def rules(self) -> RewriteRules:
         """The connector's rules, user-defined rewrites included."""
         return self.connector.rules
+
+    @property
+    def query(self) -> str:
+        """The query text, formed from ``step`` when read; an action reads
+        it once."""
+        return self.step.form(self.rules)
 
     # ------------------------------------------------------------------
     # plumbing
@@ -122,9 +149,11 @@ class _Lazy:
     def _execute(self, query: str) -> pd.DataFrame:
         return self.connector.execute(query, self.namespace, self.collection)
 
-    def _finalized(self, query: str) -> str:
-        """Wrap a non-terminal query with the language's return-all rule."""
-        return self.rules.apply("return_all", subquery=query)
+    def _finalized(self, query: str, n: int | None = None) -> str:
+        """Wrap a non-terminal query with the language's return-all rule,
+        and with its LIMIT rule for the first ``n`` rows."""
+        query = self.rules.apply("return_all", subquery=query)
+        return query if n is None else self.rules.apply("limit", subquery=query, num=n)
 
     def _agg_item(self, func: str, attribute: str) -> str:
         """One aliased aggregate output, e.g. ``MAX(t.four) AS max_four``."""
@@ -137,6 +166,11 @@ class _Lazy:
         return self.rules.apply(
             "attribute_alias", alias=f"{rule}_{attribute}", attribute=fragment
         )
+
+    def _aggregate_row(self, query: str, items: list[str]) -> pd.Series:
+        """Run q8 of the aggregate ``items`` over ``query``: its one row."""
+        query = self.rules.apply("q8", subquery=query, agg_func=self.rules.join_items(items))
+        return self._execute(self._finalized(query)).iloc[0]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -157,8 +191,7 @@ class _Lazy:
         n = operator.index(n)
         if n < 0:
             raise ValueError(f"head() takes no negative count, got {n}")
-        query = self.rules.apply("limit", subquery=self._finalized(self.query), num=n)
-        return self._execute(query)
+        return self._execute(self._finalized(self.query, n))
 
     def toPandas(self) -> pd.DataFrame:
         """Materialize the full result (the return-all rule)."""
@@ -178,10 +211,10 @@ class _Lazy:
             "Combine conditions with & and |, not `and`, `or` or a chained comparison."
         )
 
-    def _numeric_columns(self) -> list[str]:
-        """The columns of this query's result that pandas describes: those
-        of a numeric dtype other than bool, read from ``head(1)``."""
-        dtypes = self.head(1).dtypes
+    def _numeric_columns(self, query: str) -> list[str]:
+        """The columns of ``query``'s result that pandas describes: those
+        of a numeric dtype other than bool, read from its first row."""
+        dtypes = self._execute(self._finalized(query, 1)).dtypes
         if dtypes.index.has_duplicates:
             raise ValueError("describe() cannot tell apart columns of one name")
         numeric = [
@@ -203,14 +236,12 @@ class _Lazy:
         ``head(1)`` action. Raises ``ValueError`` if two of that result's
         columns share a name or none is numeric.
         """
+        query = self.query
         if columns is None:
-            columns = self._numeric_columns()
+            columns = self._numeric_columns(query)
         stats = ("count", "avg", "std", "min", "max")
         items = [self._agg_item(f, c) for c in columns for f in stats]
-        query = self.rules.apply(
-            "q8", subquery=self.query, agg_func=self.rules.join_items(items)
-        )
-        row = self._execute(self._finalized(query)).iloc[0]
+        row = self._aggregate_row(query, items)
         return pd.DataFrame(
             {c: [row[f"{f}_{c}"] for f in stats] for c in columns},
             index=list(stats),
@@ -220,30 +251,30 @@ class _Lazy:
 class PolyFrame(_Lazy):
     """A lazy, query-backed dataframe over one backend dataset."""
 
-    def __init__(
-        self, namespace: str, collection: str, connector: DBConnector, _query: str | None = None
-    ):
-        if _query is None:
-            # Frame creation only verifies the dataset and forms q1 — it
-            # never loads data (the paper's "DataFrame creation time" for
-            # PolyFrame is query-formation time only).
-            connector.initialize(namespace, collection)
-            _query = connector.rules.apply("q1", namespace=namespace, collection=collection)
-        super().__init__(namespace, collection, connector)
-        self.query = _query
+    def __init__(self, namespace: str, collection: str, connector: DBConnector):
+        # Frame creation only verifies the dataset and builds the q1 step —
+        # it never loads data or forms text (the paper's "DataFrame creation
+        # time" for PolyFrame).
+        connector.initialize(namespace, collection)
+        step = _Step("q1", namespace=namespace, collection=collection)
+        super().__init__(namespace, collection, connector, step)
 
-    def _frame(self, query: str) -> "PolyFrame":
-        return PolyFrame(self.namespace, self.collection, self.connector, _query=query)
+    def _frame(self, step: _Step) -> "PolyFrame":
+        """A frame of this dataset and connector whose last step is ``step``."""
+        frame = copy.copy(self)
+        frame.step = step
+        return frame
 
     def _check_frame(self, column: "PolyFrameColumn", derived: bool = False) -> None:
         """Raise ``ValueError`` if ``column`` reads another dataset or
         connector than this frame or, if ``derived``, derives from another
-        frame. A Mongo query names no dataset, and two connectors may hold
-        datasets of one name, so both are compared too."""
+        frame, by value of their steps. A Mongo query names no dataset, and
+        two connectors may hold datasets of one name, so both are compared
+        too."""
         if (
             (column.namespace, column.collection) != (self.namespace, self.collection)
             or column.connector is not self.connector
-            or (derived and column.frame.query != self.query)
+            or (derived and column.frame.step != self.step)
         ):
             raise ValueError(f"cannot combine different frames (column {column.name!r})")
 
@@ -261,15 +292,15 @@ class PolyFrame(_Lazy):
     # ------------------------------------------------------------------
     def __getitem__(self, key):
         if isinstance(key, PolyFrameColumn):
-            # selection: pf[bool_col] — composed over THIS frame's query,
+            # selection: pf[bool_col] — composed over THIS frame's step,
             # with the column's raw predicate (Table I footnote 1).
             self._check_frame(key)
-            return self._frame(self.rules.apply("q6", subquery=self.query, statement=key.expr))
+            return self._frame(_Step("q6", subquery=self.step, statement=key.expr))
         if isinstance(key, str):
             return PolyFrameColumn(self, self.rules.apply("single_attribute", attribute=key), key)
         if isinstance(key, (list, tuple)):
             items = self.rules.join_items([self.rules.apply("proj_attr", attribute=a) for a in key])
-            return self._frame(self.rules.apply("q2", subquery=self.query, attribute_alias=items))
+            return self._frame(_Step("q2", subquery=self.step, attribute_alias=items))
         raise TypeError(f"unsupported key type: {type(key).__name__}")
 
     def sort_values(self, by: str, ascending: bool = True) -> "PolyFrame":
@@ -285,7 +316,7 @@ class PolyFrame(_Lazy):
         # the attribute rule writes the direction, q4 the ORDER BY
         rule = "sort_asc_attr" if one else "sort_desc_attr"
         attr = self.rules.apply(rule, attribute=by)
-        return self._frame(self.rules.apply("q4", subquery=self.query, sort_attr=attr))
+        return self._frame(_Step("q4", subquery=self.step, sort_attr=attr))
 
     def groupby(self, by: str | list[str]) -> "PolyFrameGroupBy":
         """Raises ``TypeError`` unless ``by`` is a column name or a list of
@@ -318,16 +349,15 @@ class PolyFrame(_Lazy):
         left_on, right_on = (left_on, right_on) if on is None else (on, on)
         if left_on is None or right_on is None:
             raise ValueError("merge requires `on` or both `left_on`/`right_on`")
-        return self._frame(
-            self.rules.apply(
-                "q10",
-                left_query=self.query,
-                right_query=other.query,
-                left_on=left_on,
-                right_on=right_on,
-                other_collection=other.collection,
-            )
+        step = _Step(
+            "q10",
+            left_query=self.step,
+            right_query=other.step,
+            left_on=left_on,
+            right_on=right_on,
+            other_collection=other.collection,
         )
+        return self._frame(step)
 
 
 class PolyFrameColumn(_Lazy):
@@ -337,34 +367,26 @@ class PolyFrameColumn(_Lazy):
     from it keeps; ``expr`` — the language-specific fragment denoting this
     column inside a statement over ``frame``; ``name`` — its output alias;
     ``rule`` — the rule that formed ``expr`` (``None`` for a dataset
-    attribute); and ``over`` — the dataset attribute whose value query an
-    op on that attribute alone wraps (Table I row 3), else ``None``.
-    ``query``, the column's own value query, is formed from these each time
-    it is read, with the connector's rules at that time.
+    attribute); and ``step`` — its value query, built with it: q2 of the
+    attribute over the frame's step for a dataset attribute, otherwise q7
+    of ``expr`` over ``over``, the step of the dataset attribute an op on
+    that attribute alone wraps (Table I row 3), or over the frame's step.
 
     A column has the actions of a frame but none of its transformations:
     its only key is a boolean column of its dataset (``series[predicate]``).
     """
 
     def __init__(self, frame: PolyFrame, expr: str, name: str, rule: str | None = None,
-                 over: PolyFrameColumn | None = None):
-        super().__init__(frame.namespace, frame.collection, frame.connector)
+                 over: _Step | None = None):
+        if rule is None:
+            step = _Step("q2", subquery=frame.step, attribute_alias=_Step("proj_attr", attribute=name))
+        else:
+            step = _Step("q7", subquery=over or frame.step, statement=expr, alias=name)
+        super().__init__(frame.namespace, frame.collection, frame.connector, step)
         self.frame = frame
         self.expr = expr
         self.name = name
         self.rule = rule
-        self.over = over
-
-    @property
-    def query(self) -> str:
-        """The column's value query, formed when read: q2 of the attribute
-        over the frame's query for a dataset attribute, otherwise q7 of
-        ``expr`` over ``over``'s query, or over the frame's."""
-        if self.rule is None:
-            proj = self.rules.apply("proj_attr", attribute=self.name)
-            return self.rules.apply("q2", subquery=self.frame.query, attribute_alias=proj)
-        subquery = (self.frame if self.over is None else self.over).query
-        return self.rules.apply("q7", subquery=subquery, statement=self.expr, alias=self.name)
 
     def __getitem__(self, key: "PolyFrameColumn") -> "PolyFrameColumn":
         """This column of ``frame[key]``, as pandas filters a Series by a
@@ -381,9 +403,9 @@ class PolyFrameColumn(_Lazy):
         """Derive a column by applying rewrite rule ``rule`` to this column
         and, for a binary rule, to ``other`` (a column or a literal); the
         result is named ``name``. Applies the module's one rule: ``expr``
-        over the frame; the value query, formed when read, is q7 of
-        ``expr`` over the frame's query, or over the attribute's own q2 for
-        an op on a dataset attribute alone (``over``, Table I row 3).
+        over the frame; the value query is a q7 step of ``expr`` over the
+        frame's step, or over the attribute's own q2 step for an op on a
+        dataset attribute alone (``over``, Table I row 3).
 
         Raises ``ValueError`` if ``other`` is a column of another frame, and
         ``TypeError`` for ``-`` or ``/`` of two boolean operands, as pandas,
@@ -426,7 +448,7 @@ class PolyFrameColumn(_Lazy):
         # Table I row 3: an op on a dataset attribute alone wraps its q2,
         # where ``expr`` reads the attribute by name
         alone = self.rule is None and not isinstance(other, PolyFrameColumn)
-        return PolyFrameColumn(self.frame, expr, name, rule, over=self if alone else None)
+        return PolyFrameColumn(self.frame, expr, name, rule, over=self.step if alone else None)
 
     # comparisons return boolean columns (Table I row 3)
     __eq__ = _operator("eq")  # type: ignore[assignment]
@@ -474,10 +496,7 @@ class PolyFrameColumn(_Lazy):
     # -- aggregate actions ----------------------------------------------
     def agg(self, func: str):
         """Scalar aggregate over this column (action)."""
-        item = self._agg_item(func, self.name)
-        query = self.rules.apply("q8", subquery=self.query, agg_func=item)
-        result = self._execute(self._finalized(query))
-        return _native(result.iloc[0, 0])
+        return _native(self._aggregate_row(self.query, [self._agg_item(func, self.name)]).iloc[0])
 
     max = _aggregate("max")
     min = _aggregate("min")
@@ -492,11 +511,11 @@ class PolyFrameColumn(_Lazy):
         (q9, projected by q2) of a frame of this column's values, then the
         projection (q2) aliases one column of that frame per value,
         ``(values_frame[name] == v).astype(int)``, so it is formed by the
-        same comparison and cast steps as any column. Both wrap this
-        column's value query, formed once, and read it by name. Returns a
-        lazy PolyFrame (the projection itself is a transformation).
+        same comparison and cast derivations as any column. Both wrap this
+        column's value step and read it by name. Returns a lazy PolyFrame
+        (the projection itself is a transformation).
         """
-        values_frame = self.frame._frame(self.query)
+        values_frame = self.frame._frame(self.step)
         values = values_frame.groupby(self.name).agg("count")[[self.name]].toPandas().iloc[:, 0]
         distinct = sorted(
             {_native(v) for v in values.dropna().tolist()},
@@ -507,10 +526,8 @@ class PolyFrameColumn(_Lazy):
         for v in distinct:
             one_hot = (column == v).astype(int).expr
             items.append(self.rules.apply("attribute_alias", alias=f"{self.name}_{v}", attribute=one_hot))
-        query = self.rules.apply(
-            "q2", subquery=values_frame.query, attribute_alias=self.rules.join_items(items)
-        )
-        return values_frame._frame(query)
+        step = _Step("q2", subquery=values_frame.step, attribute_alias=self.rules.join_items(items))
+        return values_frame._frame(step)
 
 
 class PolyFrameGroupBy:
@@ -537,11 +554,11 @@ class PolyFrameGroupBy:
         frame, rules = self._frame, self._frame.rules
         target = self._target if self._target is not None else self._by[0]
         grp_items = [rules.apply("proj_attr", attribute=a) for a in self._by]
-        query = rules.apply(
+        step = _Step(
             "q9",
-            subquery=frame.query,
+            subquery=frame.step,
             grp_attribute=rules.join_items(grp_items),
             agg_func=frame._agg_item(func, target),
             **frame._group_extras(self._by),
         )
-        return frame._frame(query)
+        return frame._frame(step)

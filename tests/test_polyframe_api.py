@@ -8,6 +8,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import operator
+import re
 
 import duckdb
 import numpy as np
@@ -30,6 +31,19 @@ from tests.conftest import polyframes
 def spf(backends):
     """A PolyFrame on the Spark backend."""
     return polyframes(backends["sparksql"])[0]
+
+
+def spy_rules(conn) -> list[str]:
+    """The keys of the rules ``conn``'s rules apply from now on, in order."""
+    applied = []
+    apply = conn.rules.apply
+    conn.rules.apply = lambda key, **variables: (applied.append(key), apply(key, **variables))[1]
+    return applied
+
+
+def query_rules(applied: list[str]) -> list[str]:
+    """The query rules (q1-q10) among ``applied``."""
+    return [key for key in applied if re.fullmatch(r"q\d+", key)]
 
 
 @contextlib.contextmanager
@@ -331,14 +345,13 @@ class TestChainedColumns:
     @pytest.mark.parametrize("language", BACKENDS)
     def test_filter_key_forms_no_value_query(self, language):
         # a filter key reads only its expr, so no column forms its own q2
-        # or q7 on the way to the count
+        # or q7 on the way to the count; the frame's q1 is formed by the
+        # action, not at creation
         conn = RecordingConnector(language)
+        applied = spy_rules(conn)
         pf = PolyFrame("T", "a", conn)
-        applied = []
-        apply = conn.rules.apply
-        conn.rules.apply = lambda key, **variables: (applied.append(key), apply(key, **variables))[1]
         len(pf[(pf["ten"] == 7) & (pf["two"] == 1)])
-        assert applied == ["single_attribute", "eq", "single_attribute", "eq", "and", "q6", "q3"]
+        assert applied == ["single_attribute", "eq", "single_attribute", "eq", "and", "q1", "q6", "q3"]
 
     def test_mongo_stage_text_not_json_raises_typed_error(self, spark, backends):
         rules = load_language("mongo").copy()
@@ -590,8 +603,97 @@ class TestGroupByApi:
             misuse(pf).agg("max")
 
 
+class TestFormationOnRead:
+    """A frame and a column hold their last step; their text is formed only
+    when read, by an action (DESIGN.md §3)."""
+
+    @pytest.mark.parametrize("language", BACKENDS)
+    def test_building_forms_no_query_text(self, language):
+        conn = RecordingConnector(language)
+        applied = spy_rules(conn)
+        pf = PolyFrame("T", "a", conn)
+        built = {
+            "frame": (pf, ["q1"]),
+            "projection": (pf[["x", "y"]], ["q1", "q2"]),
+            "filter": (pf[pf["x"] > 1], ["q1", "q6"]),
+            "sort": (pf.sort_values("x", ascending=False), ["q1", "q4"]),
+            "group": (pf.groupby("x").agg("max"), ["q1", "q9"]),
+            "merge": (pf.merge(PolyFrame("T", "b", conn), on="x"), ["q1", "q1", "q10"]),
+            "column filter": (pf["x"][pf["y"] > 1], ["q1", "q6", "q2"]),
+            "derived column": ((pf["x"] + 1)[pf["y"] > 1], ["q1", "q6", "q7"]),
+        }
+        assert query_rules(applied) == []
+        for name, (lazy, chain) in built.items():
+            applied.clear()
+            lazy.query
+            assert query_rules(applied) == chain, name
+        assert conn.queries == []
+
+    @pytest.mark.parametrize("language", BACKENDS)
+    def test_get_dummies_forms_only_its_values_query(self, language):
+        # the distinct values are fetched by one action; the one-hot
+        # projection it returns is a step, formed when read
+        conn = RecordingConnector(language)
+        pf = PolyFrame("T", "a", conn)
+        applied = spy_rules(conn)
+        dummies = pf["x"].get_dummies()
+        assert query_rules(applied) == ["q1", "q2", "q9", "q2"]
+        assert len(conn.queries) == 1
+        applied.clear()
+        dummies.query
+        assert query_rules(applied) == ["q1", "q2", "q2"]
+
+    @pytest.mark.parametrize("language", BACKENDS)
+    def test_describe_of_derived_column_forms_its_query_once(self, language):
+        stats = ("count", "avg", "std", "min", "max")
+        results = [pd.DataFrame({"val": [1]}), pd.DataFrame({f"{f}_val": [1.0] for f in stats})]
+        conn = RecordingConnector(language)
+        conn.send_query = lambda query, namespace, collection: results.pop(0)
+        applied = spy_rules(conn)
+        described = (PolyFrame("T", "a", conn)["x"] + 1).describe()
+        assert list(described.columns) == ["val"]
+        assert applied.count("q7") == 1
+        assert len(applied) <= 24
+        assert len(conn.queries) == 2
+
+    @pytest.mark.parametrize("language", BACKENDS)
+    def test_binary_derivation_forms_no_query_text(self, language):
+        conn = RecordingConnector(language)
+        pf = PolyFrame("T", "a", conn)
+        rows = pf[pf["k"] > 1]
+        applied = spy_rules(conn)
+        rows["x"] + rows["y"]
+        assert applied and query_rules(applied) == []
+
+    @pytest.mark.parametrize("language", BACKENDS)
+    def test_equal_frames_built_apart_combine(self, language):
+        conn = RecordingConnector(language)
+        a, b = PolyFrame("T", "a", conn), PolyFrame("T", "a", conn)
+        apart = a[a["k"] > 1]["x"] + b[b["k"] > 1]["y"]
+        rows = a[a["k"] > 1]
+        assert apart.query == (rows["x"] + rows["y"]).query
+
+    @pytest.mark.parametrize("language", BACKENDS)
+    def test_frames_with_different_filters_raise(self, language):
+        conn = RecordingConnector(language)
+        pf = PolyFrame("T", "a", conn)
+        with pytest.raises(ValueError, match="different frames"):
+            pf[pf["k"] > 1]["x"] + pf[pf["k"] > 2]["y"]
+
+
 class TestUserDefinedRewrites:
     """Paper §I contribution 4: custom rules swap in at runtime."""
+
+    @pytest.mark.parametrize("language", BACKENDS)
+    def test_rule_set_after_building_applies_at_next_action(self, language):
+        conn = RecordingConnector(language)
+        pf = PolyFrame("T", "a", conn)
+        rows = pf[pf["k"] > 1]
+        rows.head(3)
+        conn.rules.set("q1", "SCAN $namespace $collection")
+        rows.head(3)
+        assert "SCAN T a" not in conn.queries[0]
+        assert "SCAN T a" in conn.last_query
 
     def test_custom_limit_rule_changes_head(self, spark, wdata):
         from repro.backends.spark import SparkConnector
