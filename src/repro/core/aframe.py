@@ -5,8 +5,9 @@ data — only its last formation step (``self.step``) plus the connector that
 will eventually run it. A step is a rewrite rule and its inputs, and an
 input that is itself a query is the parent's step, not its text: the
 paper's ``Q_{i+1}`` wraps ``Q_i`` (§III-B). ``query`` forms the text from
-the steps with the connector's rules each time it is read. Every
-Pandas-style operation is either a
+the steps with the connector's query rules each time it is read; an
+expression (a predicate, a sort key) is formed when its operation is built
+and held in the step as text. Every Pandas-style operation is either a
 
 * **transformation** — builds a step and returns a *new* PolyFrame or
   column (``pf['a']``, ``pf[pf['a'] == 1]``, ``groupby``, ``sort_values``,
@@ -90,20 +91,32 @@ _BOOLEAN_ARITHMETIC = {"add": "or", "mul": "and", "sub": None, "div": None}
 #: ``other`` of a unary derivation
 _UNARY = object()
 
+#: The most steps one query nests. Formation recurses once a step, and
+#: Python's default limit would stop it at about 496; no backend parses
+#: such a text: DuckDB parsed 160 nested filters but not 170, and Spark,
+#: which runs the other four languages, 75 but not 100.
+_DEEPEST = 256
+
 
 class _Step(tuple):
     """One formation step, ``(rule, *inputs)``: a rewrite rule key and the
     (variable, value) pairs it is applied to. A value that is a step (the
     parent query, or a column's ``proj_attr``) is formed first, so a step
     compares by value and forms its text only when read, with the rules of
-    that time."""
+    that time. Every other value is text already formed when the step was
+    built, by the expression rules of that time."""
 
     def __new__(cls, rule: str, **inputs: object) -> "_Step":
         return super().__new__(cls, (rule, *inputs.items()))
 
-    def form(self, rules: RewriteRules) -> str:
+    def form(self, rules: RewriteRules, depth: int = 1) -> str:
+        """This step's text. Raises ``ValueError`` if it nests more than
+        ``_DEEPEST`` steps."""
+        if depth > _DEEPEST:
+            raise ValueError(f"a query nests at most {_DEEPEST} steps; no backend parses a deeper one")
         rule, *inputs = self
-        return rules.apply(rule, **{k: v.form(rules) if isinstance(v, _Step) else v for k, v in inputs})
+        formed = {k: v.form(rules, depth + 1) if isinstance(v, _Step) else v for k, v in inputs}
+        return rules.apply(rule, **formed)
 
 
 def _native(value: object) -> object:
@@ -314,8 +327,7 @@ class PolyFrame(_Lazy):
         if type(_native(one)) not in (bool, int) or one not in (0, 1):
             raise ValueError(f"ascending takes a bool, or a list of one for one column, not {ascending!r}")
         # the attribute rule writes the direction, q4 the ORDER BY
-        rule = "sort_asc_attr" if one else "sort_desc_attr"
-        attr = self.rules.apply(rule, attribute=by)
+        attr = self.rules.apply("sort_asc_attr" if one else "sort_desc_attr", attribute=by)
         return self._frame(_Step("q4", subquery=self.step, sort_attr=attr))
 
     def groupby(self, by: str | list[str]) -> "PolyFrameGroupBy":
@@ -349,15 +361,14 @@ class PolyFrame(_Lazy):
         left_on, right_on = (left_on, right_on) if on is None else (on, on)
         if left_on is None or right_on is None:
             raise ValueError("merge requires `on` or both `left_on`/`right_on`")
-        step = _Step(
+        return self._frame(_Step(
             "q10",
             left_query=self.step,
             right_query=other.step,
             left_on=left_on,
             right_on=right_on,
             other_collection=other.collection,
-        )
-        return self._frame(step)
+        ))
 
 
 class PolyFrameColumn(_Lazy):
@@ -553,12 +564,10 @@ class PolyFrameGroupBy:
         """
         frame, rules = self._frame, self._frame.rules
         target = self._target if self._target is not None else self._by[0]
-        grp_items = [rules.apply("proj_attr", attribute=a) for a in self._by]
-        step = _Step(
+        return frame._frame(_Step(
             "q9",
             subquery=frame.step,
-            grp_attribute=rules.join_items(grp_items),
+            grp_attribute=rules.join_items([rules.apply("proj_attr", attribute=a) for a in self._by]),
             agg_func=frame._agg_item(func, target),
             **frame._group_extras(self._by),
-        )
-        return frame._frame(step)
+        ))

@@ -680,6 +680,21 @@ class TestFormationOnRead:
         with pytest.raises(ValueError, match="different frames"):
             pf[pf["k"] > 1]["x"] + pf[pf["k"] > 2]["y"]
 
+    @pytest.mark.parametrize("language", BACKENDS)
+    def test_query_nests_at_most_256_steps(self, language):
+        # q1 and 255 filters form; one filter more raises before anything
+        # is sent (DESIGN.md §3, known limits)
+        conn = RecordingConnector(language)
+        rows = PolyFrame("T", "a", conn)
+        for i in range(255):
+            rows = rows[rows["k"] > i]
+        assert "254" in rows.query
+        deeper = rows[rows["k"] > 255]
+        with nothing_sent(conn), pytest.raises(ValueError, match="at most 256 steps"):
+            len(deeper)
+        with pytest.raises(ValueError, match="at most 256 steps"):
+            rows["x"].query
+
 
 class TestUserDefinedRewrites:
     """Paper §I contribution 4: custom rules swap in at runtime."""
@@ -694,6 +709,19 @@ class TestUserDefinedRewrites:
         rows.head(3)
         assert "SCAN T a" not in conn.queries[0]
         assert "SCAN T a" in conn.last_query
+
+    @pytest.mark.parametrize("language", BACKENDS)
+    def test_expression_rule_set_after_building_applies_to_later_operations(self, language):
+        # an operation's expression (here a filter's predicate) is formed
+        # when the operation is built, so a rule set afterwards forms only
+        # the expressions built after it (DESIGN.md §3)
+        conn = RecordingConnector(language)
+        pf = PolyFrame("T", "a", conn)
+        before = pf[pf["k"] > 1]
+        conn.rules.set("gt", "GT($left, $right)")
+        after = pf[pf["k"] > 1]
+        assert "GT(" not in before.query
+        assert "GT(" in after.query
 
     def test_custom_limit_rule_changes_head(self, spark, wdata):
         from repro.backends.spark import SparkConnector
