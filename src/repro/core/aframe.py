@@ -34,7 +34,9 @@ so it forms no value query. Every column operation is one derivation
 composes over the column's ``frame``, and its step is q7 of that ``expr``
 over the frame's step, so a chain of any length is one q7 over its frame.
 ``pf[pf['lang'] == 'en']`` filters that frame (Table I footnote 1), also
-after ``map`` or arithmetic. An op on a dataset attribute alone keeps
+after ``map`` or arithmetic; a filter of a filter is one q6, its predicate
+and the parent's joined by the ``and`` rule, so a chain of filters nests
+one step. An op on a dataset attribute alone keeps
 Table I row 3's form: its q7 wraps the attribute's own q2 step, which
 ``expr`` reads by name. ``series[predicate]`` is the column taken from
 ``frame[predicate]``, as pandas filters a Series. Every expression rule
@@ -94,7 +96,8 @@ _UNARY = object()
 #: The most steps one query nests. Formation recurses once a step, and
 #: Python's default limit would stop it at about 496; no backend parses
 #: such a text: DuckDB parsed 160 nested filters but not 170, and Spark,
-#: which runs the other four languages, 75 but not 100.
+#: which runs the other four languages, 75 but not 100. A chain of
+#: filters is one step (``PolyFrame.__getitem__``); the other steps nest.
 _DEEPEST = 256
 
 
@@ -306,9 +309,15 @@ class PolyFrame(_Lazy):
     def __getitem__(self, key):
         if isinstance(key, PolyFrameColumn):
             # selection: pf[bool_col] — composed over THIS frame's step,
-            # with the column's raw predicate (Table I footnote 1).
+            # with the column's raw predicate (Table I footnote 1); a filter
+            # of a filter is one q6 of both predicates, joined by ``and``
             self._check_frame(key)
-            return self._frame(_Step("q6", subquery=self.step, statement=key.expr))
+            subquery, statement = self.step, key.expr
+            if self.step[0] == "q6":
+                inputs = dict(self.step[1:])
+                subquery = inputs["subquery"]
+                statement = self.rules.apply("and", left=inputs["statement"], right=statement)
+            return self._frame(_Step("q6", subquery=subquery, statement=statement))
         if isinstance(key, str):
             return PolyFrameColumn(self, self.rules.apply("single_attribute", attribute=key), key)
         if isinstance(key, (list, tuple)):

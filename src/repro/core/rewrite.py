@@ -11,6 +11,14 @@ read as a ``$sort`` variable, substituted text is never re-scanned, and
 MongoDB's ``{ "$min": "$$attribute" }`` keeps its literal leading ``$``
 while ``$attribute`` is rewritten.
 
+A config may be a *delta* of a bundled one: ``base = sparksql`` in its
+``[META]`` reads ``sparksql.ini`` first, and the config lists only the rules
+and ``[META]`` entries it changes (``sql.ini``, ``sqlpp.ini`` and
+``cypher.ini`` are deltas of ``sparksql.ini``). The base resolves one level
+deep: a base that names a base raises ``ValueError``. Since the paper prints
+whole files, ``python -m repro.core.rewrite <language>`` prints a bundled
+config resolved, in the same format.
+
 Users may override or add rules at runtime (*User-Defined Rewrites*,
 paper §I contribution 4) via :meth:`RewriteRules.set`.
 """
@@ -105,27 +113,11 @@ class RewriteRules:
     # -- construction --------------------------------------------------
     @classmethod
     def from_file(cls, path: str | Path) -> "RewriteRules":
-        """Load a language configuration file (paper Appendix B/C format)."""
-        parser = configparser.RawConfigParser(
-            delimiters=("=",), comment_prefixes=(";", "#"), strict=True
-        )
-        parser.optionxform = str  # rule keys are case-sensitive
-        text = Path(path).read_text()
-        parser.read_string(text, source=str(path))
-        rules: dict[str, str] = {}
-        meta: dict[str, str] = {}
-        for section in parser.sections():
-            for key, value in parser.items(section):
-                # configparser joins continuation lines with '\n'; keep them —
-                # generated queries are multi-line, like the paper's examples.
-                target = meta if section == "META" else rules
-                if key in target:
-                    raise ValueError(
-                        f"duplicate rewrite rule {key!r} in {path} "
-                        f"(section [{section}])"
-                    )
-                target[key] = value.strip()
-        return cls(rules, meta)
+        """Load a language configuration file (paper Appendix B/C format),
+        its base resolved."""
+        sections = read_config(path)
+        meta = sections.pop("META", {})
+        return cls({k: v for rules in sections.values() for k, v in rules.items()}, meta)
 
     # -- inspection -----------------------------------------------------
     def has(self, key: str) -> bool:
@@ -205,6 +197,45 @@ class RewriteRules:
         raise TypeError(f"unsupported literal type: {type(value).__name__}")
 
 
+def _read(path: str | Path) -> dict[str, dict[str, str]]:
+    """The sections of one config file, ``section -> {key: template}``.
+    Raises ``ValueError`` for a rule key set in two sections."""
+    parser = configparser.RawConfigParser(
+        delimiters=("=",), comment_prefixes=(";", "#"), strict=True
+    )
+    parser.optionxform = str  # rule keys are case-sensitive
+    parser.read_string(Path(path).read_text(), source=str(path))
+    # configparser joins continuation lines with '\n'; keep them —
+    # generated queries are multi-line, like the paper's examples.
+    sections = {s: {k: v.strip() for k, v in parser.items(s)} for s in parser.sections()}
+    keys = [key for s, rules in sections.items() if s != "META" for key in rules]
+    repeated = sorted({key for key in keys if keys.count(key) > 1})
+    if repeated:
+        raise ValueError(f"duplicate rewrite rule in {path}: {repeated}")
+    return sections
+
+
+def read_config(path: str | Path) -> dict[str, dict[str, str]]:
+    """The sections of the config at ``path``, its ``base`` resolved: the
+    base's sections, each key the delta sets replacing the base's in place
+    and any other added under the delta's section. Raises
+    ``FileNotFoundError`` for an unknown base and ``ValueError`` for a base
+    that names a base."""
+    delta = _read(path)
+    base = delta.get("META", {}).pop("base", None)
+    if base is None:
+        return delta
+    sections = _read(language_config_path(base))
+    if "base" in sections.get("META", {}):
+        raise ValueError(f"{path} names base {base!r}, which names a base itself")
+    home = {key: s for s, rules in sections.items() if s != "META" for key in rules}
+    for section, entries in delta.items():
+        for key, value in entries.items():
+            target = section if section == "META" else home.get(key, section)
+            sections.setdefault(target, {})[key] = value
+    return sections
+
+
 def language_config_path(language: str) -> Path:
     """Path of the bundled config file for ``language`` (e.g. ``sparksql``)."""
     return Path(__file__).resolve().parent.parent / "languages" / f"{language}.ini"
@@ -218,3 +249,15 @@ def load_language(language: str) -> RewriteRules:
             f"no bundled rewrite rules for language {language!r} at {path}"
         )
     return RewriteRules.from_file(path)
+
+
+if __name__ == "__main__":
+    import sys
+
+    # a bundled config resolved, in its own format: a template continues
+    # over lines indented by one space
+    for section, entries in read_config(language_config_path(sys.argv[1])).items():
+        print(f"[{section}]")
+        for key, value in entries.items():
+            print(f"{key} = " + value.replace("\n", "\n "))
+        print()

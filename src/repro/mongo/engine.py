@@ -31,7 +31,10 @@ enables index usage" (§III-D).
 
 Expressions are written with ``sparksql.ini``'s rules: each operator is one
 rule key (``_RULES``) and each JSON scalar a ``RewriteRules.literal``, so
-operators and literals read as on the sparksql backend. A comparison with
+operators and literals read as on the sparksql backend. ``$mod`` is the one
+operator with a rule of the compiler's own, ``trunc_mod`` (``$left %
+$right``), set on its copy of the rules: MongoDB's ``$mod`` truncates, and
+``sparksql.ini``'s ``mod`` floors as pandas does. A comparison with
 ``null`` keeps its BSON meaning, null and missing sorting below every value,
 through ``is_missing`` (``$lt``, ``$lte``, ``$eq``) and ``not_missing``.
 
@@ -101,6 +104,17 @@ def _single(spec: Any, what: str) -> tuple[str, Any]:
     return next(iter(spec.items()))
 
 
+def _spliced(op: str, args: list) -> list:
+    """The operands of ``$and`` or ``$or`` (``op``), each operand that is an
+    ``op`` of a list replaced by its own: MongoDB's ``$and`` takes any number,
+    so a chain of fused filters nests one level per operand, not two."""
+    out = []
+    for a in args:
+        nested = isinstance(a, dict) and list(a) == [op] and isinstance(a[op], list)
+        out += _spliced(op, a[op]) if nested else [a]
+    return out
+
+
 def _stage(stage: Any) -> tuple[str, Any]:
     name, spec = _single(stage, "stage")
     if name not in _STAGES:
@@ -113,8 +127,10 @@ class MongoEngine(SparkCompiler):
     to Spark SQL; ``execute(pipeline, collection, namespace)`` runs one."""
 
     error = MongoEngineError
-    #: Spark SQL's expression and literal syntax, declared in ``sparksql.ini``
+    #: Spark SQL's expression and literal syntax, declared in ``sparksql.ini``,
+    #: and ``trunc_mod``: MongoDB's ``$mod`` truncates, where ``mod`` floors
     spark_sql = load_language("sparksql")
+    spark_sql.set("trunc_mod", "($left % $right)")
 
     def compile(self, pipeline: list[dict], collection: str, namespace: str) -> str:
         """The Spark SQL text of ``pipeline`` run on ``collection``; every
@@ -162,6 +178,8 @@ class MongoEngine(SparkCompiler):
         rule, args = _RULES[op], arg if isinstance(arg, list) else [arg]
         if op in _NULL_RULES and len(args) == 2 and args[1] is None:
             rule, args = _NULL_RULES[op], args[:1]
+        if rule in ("and", "or"):
+            args = _spliced(op, args)
         sql = [self._expr(a) for a in args]
         if rule in ("and", "or") and sql:
             return f"({reduce(lambda x, y: self.spark_sql.apply(rule, left=x, right=y), sql)})"

@@ -1,4 +1,5 @@
-"""Print the code lines of every source file under ``src/``, and their total.
+"""Print the code lines of every source file under ``src/``, their ``.py`` and
+``.ini`` subtotals, and their total.
 
 Run from the repository root: ``python -m tests.sloc``.
 
@@ -6,7 +7,8 @@ A ``.py`` line counts when it holds code: blank lines, comment lines and the
 lines of a docstring (the string a module, class or function body starts
 with) do not. An ``.ini`` line counts unless it is blank or a ``;`` or ``#``
 comment. Two checkouts compare by their totals; a file's count is the one to
-quote for a change to it.
+quote for a change to it, and a subtotal the one for a change to the code or
+to the language configs.
 """
 from __future__ import annotations
 
@@ -61,12 +63,14 @@ def count(path: Path) -> int:
 
 def main() -> None:
     files = sorted(p for p in SRC.rglob("*") if p.suffix in (".py", ".ini"))
-    total = 0
+    subtotals = dict.fromkeys((".py", ".ini"), 0)
     for path in files:
         n = count(path)
-        total += n
+        subtotals[path.suffix] += n
         print(f"{n:6d}  {path.relative_to(SRC.parent)}")
-    print(f"{total:6d}  total")
+    for suffix, n in subtotals.items():
+        print(f"{n:6d}  {suffix}")
+    print(f"{sum(subtotals.values()):6d}  total")
 
 
 if __name__ == "__main__":

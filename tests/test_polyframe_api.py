@@ -682,18 +682,44 @@ class TestFormationOnRead:
 
     @pytest.mark.parametrize("language", BACKENDS)
     def test_query_nests_at_most_256_steps(self, language):
-        # q1 and 255 filters form; one filter more raises before anything
-        # is sent (DESIGN.md §3, known limits)
+        # q1 and 255 projections form; one projection more raises before
+        # anything is sent (DESIGN.md §3, known limits)
         conn = RecordingConnector(language)
         rows = PolyFrame("T", "a", conn)
-        for i in range(255):
-            rows = rows[rows["k"] > i]
-        assert "254" in rows.query
-        deeper = rows[rows["k"] > 255]
+        for _ in range(255):
+            rows = rows[["k", "x"]]
+        applied = spy_rules(conn)
+        rows.query
+        assert query_rules(applied) == ["q1"] + ["q2"] * 255
+        deeper = rows[["k", "x"]]
         with nothing_sent(conn), pytest.raises(ValueError, match="at most 256 steps"):
             len(deeper)
         with pytest.raises(ValueError, match="at most 256 steps"):
             rows["x"].query
+
+
+class TestFilterFusion:
+    """A filter of a filter is one q6 of both predicates, joined by the
+    ``and`` rule (DESIGN.md §3), so a chain of filters nests one step."""
+
+    @pytest.mark.parametrize("language", BACKENDS)
+    def test_filter_of_a_filter_forms_one_q6(self, language):
+        conn = RecordingConnector(language)
+        pf = PolyFrame("T", "a", conn)
+        rows = pf[pf["k"] > 1][pf["x"] == 2]
+        applied = spy_rules(conn)
+        rows.query
+        assert query_rules(applied) == ["q1", "q6"]
+        assert rows.step == pf[(pf["k"] > 1) & (pf["x"] == 2)].step
+
+    def test_len_of_120_chained_filters(self, backend, wdata):
+        # 120 nested q6s were past every Spark-backed language's analyzer
+        _, conn = backend
+        pf, _ = polyframes(conn)
+        want = wdata
+        for i in range(120):
+            pf, want = pf[pf["unique1"] != i], want[want["unique1"] != i]
+        assert len(pf) == len(want) == len(wdata) - 120
 
 
 class TestUserDefinedRewrites:

@@ -6,6 +6,9 @@ No SparkSession needed — query *formation* is pure string rewriting.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -19,6 +22,7 @@ from repro.core.rewrite import (
     required_variables,
     substitute,
 )
+from tests.conftest import ROOT
 
 LANGUAGES = ("sparksql", "sql", "sqlpp", "mongo", "cypher")
 
@@ -69,12 +73,10 @@ REQUIRED_KEYS = (
 #: the rules a config defines beyond REQUIRED_KEYS: ``literal(None)`` reads
 #: ``null_literal``; MongoDB's ``$group`` packs its keys into ``_id``
 #: (``grp_key``, ``grp_restore``) and reads a string that starts with ``$``
-#: as a field path (``dollar_str_literal``); and the Mongo stand-in compiles
-#: MongoDB's truncating ``$mod`` with Spark SQL's ``trunc_mod``
+#: as a field path (``dollar_str_literal``)
 EXTRA_KEYS = {"null_literal"}
 LANGUAGE_EXTRA_KEYS = {
     "mongo": {"grp_key", "grp_restore", "dollar_str_literal"},
-    "sparksql": {"trunc_mod"},
 }
 
 
@@ -165,6 +167,65 @@ class TestLanguageConfigs:
         else:
             assert "Users" in q1
             assert "$" not in q1
+
+
+# ---------------------------------------------------------------------------
+# a config as a delta of a bundled base
+# ---------------------------------------------------------------------------
+def printed(language: str) -> str:
+    """The output of ``python -m repro.core.rewrite <language>``."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run(
+        [sys.executable, "-m", "repro.core.rewrite", language],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+
+
+class TestDeltaConfigs:
+    @pytest.mark.parametrize("lang", LANGUAGES)
+    def test_printed_config_reads_back(self, lang, tmp_path):
+        # the paper prints whole files: the resolved config is one, with
+        # the same rules and [META]
+        text = printed(lang)
+        assert "base =" not in text
+        whole = tmp_path / f"{lang}.ini"
+        whole.write_text(text)
+        assert vars(RewriteRules.from_file(whole)) == vars(load_language(lang))
+
+    def test_delta_overrides_only_its_rules(self, tmp_path):
+        delta = tmp_path / "mini.ini"
+        delta.write_text("[META]\nbase = sparksql\nlanguage = mini\n[QUERIES]\nq3 = COUNT $subquery\n")
+        rules, base = RewriteRules.from_file(delta), load_language("sparksql")
+        assert rules.get("q3") == "COUNT $subquery"
+        assert rules.meta("language") == "mini" and rules.meta("base") is None
+        assert rules.keys() == base.keys()
+        assert [k for k in base.keys() if rules.get(k) != base.get(k)] == ["q3"]
+        assert rules.meta("string_escape") == base.meta("string_escape")
+
+    def test_delta_adds_a_rule(self, tmp_path):
+        delta = tmp_path / "mini.ini"
+        delta.write_text("[META]\nbase = sparksql\n[EXTRA]\nsample = $subquery TABLESAMPLE ($num ROWS)\n")
+        rules = RewriteRules.from_file(delta)
+        assert set(rules.keys()) == set(load_language("sparksql").keys()) | {"sample"}
+
+    def test_unknown_base_raises(self, tmp_path):
+        delta = tmp_path / "mini.ini"
+        delta.write_text("[META]\nbase = nosuchlang\n[QUERIES]\nq1 = x\n")
+        with pytest.raises(FileNotFoundError):
+            RewriteRules.from_file(delta)
+
+    def test_base_that_names_a_base_raises(self, tmp_path):
+        # sql.ini names sparksql.ini, so it cannot be a base itself
+        delta = tmp_path / "mini.ini"
+        delta.write_text("[META]\nbase = sql\n[QUERIES]\nq1 = x\n")
+        with pytest.raises(ValueError, match="names a base itself"):
+            RewriteRules.from_file(delta)
+
+    def test_key_set_twice_in_a_delta_raises(self, tmp_path):
+        delta = tmp_path / "mini.ini"
+        delta.write_text("[META]\nbase = sparksql\n[A]\nq1 = x\n[B]\nq1 = y\n")
+        with pytest.raises(ValueError, match="duplicate"):
+            RewriteRules.from_file(delta)
 
 
 # ---------------------------------------------------------------------------
