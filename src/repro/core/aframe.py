@@ -34,14 +34,17 @@ so it forms no value query. Every column operation is one derivation
 composes over the column's ``frame``, and its step is q7 of that ``expr``
 over the frame's step, so a chain of any length is one q7 over its frame.
 ``pf[pf['lang'] == 'en']`` filters that frame (Table I footnote 1), also
-after ``map`` or arithmetic; a filter of a filter is one q6, its predicate
-and the parent's joined by the ``and`` rule, so a chain of filters nests
-one step. An op on a dataset attribute alone keeps
-Table I row 3's form: its q7 wraps the attribute's own q2 step, which
-``expr`` reads by name. ``series[predicate]`` is the column taken from
-``frame[predicate]``, as pandas filters a Series. Every expression rule
-yields a complete expression of its language (a Mongo operator nests as
-JSON), so no derivation needs a language-specific step.
+after ``map`` or arithmetic; a filter of a filter is one q6 that holds
+its predicate and the parent's, joined by the ``and`` rule into a balanced
+tree when formed, so a chain of filters nests one step. An op on a
+dataset attribute alone keeps Table I row 3's form: its q7 wraps the
+attribute's own q2 step, which ``expr`` reads by name.
+``series[predicate]`` is the column taken from ``frame[predicate]``, as
+pandas filters a Series. Every expression rule yields a complete
+expression of its language (a Mongo operator nests as JSON), so no
+derivation needs a language-specific step. A column name or alias reaches
+a rule already in the language's quote (``name_quote``, ``alias_quote``:
+:meth:`RewriteRules.quoted`).
 """
 from __future__ import annotations
 
@@ -106,8 +109,10 @@ class _Step(tuple):
     (variable, value) pairs it is applied to. A value that is a step (the
     parent query, or a column's ``proj_attr``) is formed first, so a step
     compares by value and forms its text only when read, with the rules of
-    that time. Every other value is text already formed when the step was
-    built, by the expression rules of that time."""
+    that time. A tuple of texts is a filter's fused predicates, joined when
+    read by the ``and`` rule into one balanced tree, so a chain of ``n``
+    filters nests ⌈log2 n⌉ deep. Every other value is text already formed
+    when the step was built, by the expression rules of that time."""
 
     def __new__(cls, rule: str, **inputs: object) -> "_Step":
         return super().__new__(cls, (rule, *inputs.items()))
@@ -118,8 +123,13 @@ class _Step(tuple):
         if depth > _DEEPEST:
             raise ValueError(f"a query nests at most {_DEEPEST} steps; no backend parses a deeper one")
         rule, *inputs = self
-        formed = {k: v.form(rules, depth + 1) if isinstance(v, _Step) else v for k, v in inputs}
-        return rules.apply(rule, **formed)
+
+        def formed(value: object) -> object:
+            if isinstance(value, _Step):
+                return value.form(rules, depth + 1)
+            return rules.balanced("and", list(value)) if isinstance(value, tuple) else value
+
+        return rules.apply(rule, **{k: formed(v) for k, v in inputs})
 
 
 def _native(value: object) -> object:
@@ -171,6 +181,17 @@ class _Lazy:
         query = self.rules.apply("return_all", subquery=query)
         return query if n is None else self.rules.apply("limit", subquery=query, num=n)
 
+    def _attribute(self, rule: str, name: str) -> str:
+        """Rule ``rule`` of the column ``name``, in the language's
+        ``name_quote``."""
+        return self.rules.apply(rule, attribute=self.rules.quoted(name))
+
+    def _aliased(self, expr: str, alias: str) -> str:
+        """``expr`` as the output column ``alias``, in the language's
+        ``alias_quote`` (the ``attribute_alias`` rule)."""
+        alias = self.rules.quoted(alias, "alias_quote")
+        return self.rules.apply("attribute_alias", alias=alias, attribute=expr)
+
     def _agg_item(self, func: str, attribute: str) -> str:
         """One aliased aggregate output, e.g. ``MAX(t.four) AS max_four``."""
         rule = _AGG_RULES.get(func)
@@ -178,10 +199,7 @@ class _Lazy:
             raise ValueError(
                 f"unsupported aggregate {func!r}; choose from {sorted(_AGG_RULES)}"
             )
-        fragment = self.rules.apply(rule, attribute=attribute)
-        return self.rules.apply(
-            "attribute_alias", alias=f"{rule}_{attribute}", attribute=fragment
-        )
+        return self._aliased(self._attribute(rule, attribute), f"{rule}_{attribute}")
 
     def _aggregate_row(self, query: str, items: list[str]) -> pd.Series:
         """Run q8 of the aggregate ``items`` over ``query``: its one row."""
@@ -284,13 +302,14 @@ class PolyFrame(_Lazy):
     def _check_frame(self, column: "PolyFrameColumn", derived: bool = False) -> None:
         """Raise ``ValueError`` if ``column`` reads another dataset or
         connector than this frame or, if ``derived``, derives from another
-        frame, by value of their steps. A Mongo query names no dataset, and
-        two connectors may hold datasets of one name, so both are compared
-        too."""
+        frame, by value of their steps or, where those differ, of their
+        texts: ``pf[p1][p2]`` holds two predicates and ``pf[p1 & p2]`` one,
+        and both form one query. A Mongo query names no dataset, and two
+        connectors may hold datasets of one name, so both are compared too."""
         if (
             (column.namespace, column.collection) != (self.namespace, self.collection)
             or column.connector is not self.connector
-            or (derived and column.frame.step != self.step)
+            or (derived and column.frame.step != self.step and column.frame.query != self.query)
         ):
             raise ValueError(f"cannot combine different frames (column {column.name!r})")
 
@@ -298,7 +317,7 @@ class PolyFrame(_Lazy):
         """grp_key / grp_restore variables for languages that define them
         (MongoDB's $group needs the keys packed into _id and restored)."""
         return {
-            rule: self.rules.join_items([self.rules.apply(rule, attribute=a) for a in attrs])
+            rule: self.rules.join_items([self._attribute(rule, a) for a in attrs])
             for rule in ("grp_key", "grp_restore")
             if self.rules.has(rule)
         }
@@ -310,18 +329,17 @@ class PolyFrame(_Lazy):
         if isinstance(key, PolyFrameColumn):
             # selection: pf[bool_col] — composed over THIS frame's step,
             # with the column's raw predicate (Table I footnote 1); a filter
-            # of a filter is one q6 of both predicates, joined by ``and``
+            # of a filter is one q6 that holds the predicates of both
             self._check_frame(key)
-            subquery, statement = self.step, key.expr
+            subquery, predicates = self.step, (key.expr,)
             if self.step[0] == "q6":
                 inputs = dict(self.step[1:])
-                subquery = inputs["subquery"]
-                statement = self.rules.apply("and", left=inputs["statement"], right=statement)
-            return self._frame(_Step("q6", subquery=subquery, statement=statement))
+                subquery, predicates = inputs["subquery"], inputs["statement"] + predicates
+            return self._frame(_Step("q6", subquery=subquery, statement=predicates))
         if isinstance(key, str):
-            return PolyFrameColumn(self, self.rules.apply("single_attribute", attribute=key), key)
+            return PolyFrameColumn(self, self._attribute("single_attribute", key), key)
         if isinstance(key, (list, tuple)):
-            items = self.rules.join_items([self.rules.apply("proj_attr", attribute=a) for a in key])
+            items = self.rules.join_items([self._attribute("proj_attr", a) for a in key])
             return self._frame(_Step("q2", subquery=self.step, attribute_alias=items))
         raise TypeError(f"unsupported key type: {type(key).__name__}")
 
@@ -336,7 +354,7 @@ class PolyFrame(_Lazy):
         if type(_native(one)) not in (bool, int) or one not in (0, 1):
             raise ValueError(f"ascending takes a bool, or a list of one for one column, not {ascending!r}")
         # the attribute rule writes the direction, q4 the ORDER BY
-        attr = self.rules.apply("sort_asc_attr" if one else "sort_desc_attr", attribute=by)
+        attr = self._attribute("sort_asc_attr" if one else "sort_desc_attr", by)
         return self._frame(_Step("q4", subquery=self.step, sort_attr=attr))
 
     def groupby(self, by: str | list[str]) -> "PolyFrameGroupBy":
@@ -374,8 +392,8 @@ class PolyFrame(_Lazy):
             "q10",
             left_query=self.step,
             right_query=other.step,
-            left_on=left_on,
-            right_on=right_on,
+            left_on=self.rules.quoted(left_on),
+            right_on=self.rules.quoted(right_on),
             other_collection=other.collection,
         ))
 
@@ -399,9 +417,11 @@ class PolyFrameColumn(_Lazy):
     def __init__(self, frame: PolyFrame, expr: str, name: str, rule: str | None = None,
                  over: _Step | None = None):
         if rule is None:
-            step = _Step("q2", subquery=frame.step, attribute_alias=_Step("proj_attr", attribute=name))
+            attribute = _Step("proj_attr", attribute=frame.rules.quoted(name))
+            step = _Step("q2", subquery=frame.step, attribute_alias=attribute)
         else:
-            step = _Step("q7", subquery=over or frame.step, statement=expr, alias=name)
+            alias = frame.rules.quoted(name, "alias_quote")
+            step = _Step("q7", subquery=over or frame.step, statement=expr, alias=alias)
         super().__init__(frame.namespace, frame.collection, frame.connector, step)
         self.frame = frame
         self.expr = expr
@@ -544,8 +564,7 @@ class PolyFrameColumn(_Lazy):
         column = values_frame[self.name]
         items = []
         for v in distinct:
-            one_hot = (column == v).astype(int).expr
-            items.append(self.rules.apply("attribute_alias", alias=f"{self.name}_{v}", attribute=one_hot))
+            items.append(self._aliased((column == v).astype(int).expr, f"{self.name}_{v}"))
         step = _Step("q2", subquery=values_frame.step, attribute_alias=self.rules.join_items(items))
         return values_frame._frame(step)
 
@@ -576,7 +595,7 @@ class PolyFrameGroupBy:
         return frame._frame(_Step(
             "q9",
             subquery=frame.step,
-            grp_attribute=rules.join_items([rules.apply("proj_attr", attribute=a) for a in self._by]),
+            grp_attribute=rules.join_items([frame._attribute("proj_attr", a) for a in self._by]),
             agg_func=frame._agg_item(func, target),
             **frame._group_extras(self._by),
         ))

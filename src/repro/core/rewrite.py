@@ -19,6 +19,12 @@ deep: a base that names a base raises ``ValueError``. Since the paper prints
 whole files, ``python -m repro.core.rewrite <language>`` prints a bundled
 config resolved, in the same format.
 
+Templates write no identifier quote: the core wraps each column name it
+substitutes for ``$attribute``, ``$left_on`` or ``$right_on`` in the
+``name_quote`` of ``[META]``, and each ``$alias`` in its ``alias_quote``
+(:meth:`RewriteRules.quoted`), as ``string_quote`` and ``string_escape``
+declare literals.
+
 Users may override or add rules at runtime (*User-Defined Rewrites*,
 paper §I contribution 4) via :meth:`RewriteRules.set`.
 """
@@ -103,7 +109,7 @@ class RewriteRules:
     rules into QUERIES / ATTRIBUTES / ARITHMETIC STATEMENTS / ... sections);
     rule keys are globally unique, so lookups are section-free. ``[META]``
     entries (``language``, ``std_kind``, ``string_quote``, ``string_escape``,
-    ...) are exposed via :meth:`meta`.
+    ``name_quote``, ``alias_quote``) are exposed via :meth:`meta`.
     """
 
     def __init__(self, rules: dict[str, str], meta: dict[str, str]):
@@ -168,6 +174,23 @@ class RewriteRules:
         for item in items[1:]:
             out = self.apply("attribute_separator", left=out, right=item)
         return out
+
+    def balanced(self, key: str, items: list[str]) -> str:
+        """``items`` joined by the binary rule ``key`` as a balanced tree,
+        the larger half on the left: ``n`` items nest ⌈log2 n⌉ deep, and
+        two or three nest as a left fold does."""
+        if len(items) == 1:
+            return items[0]
+        half = (len(items) + 1) // 2
+        left, right = self.balanced(key, items[:half]), self.balanced(key, items[half:])
+        return self.apply(key, left=left, right=right)
+
+    def quoted(self, name: str, quote: str = "name_quote") -> str:
+        """``name`` wrapped in the ``[META]`` entry ``quote`` (``name_quote``
+        for a column name, ``alias_quote`` for an alias), that quote doubled
+        inside it; bare where the language declares no such quote."""
+        mark = self.meta(quote)
+        return f"{mark}{name.replace(mark, mark * 2)}{mark}" if mark else name
 
     def literal(self, value: object) -> str:
         """Format a Python literal in this language's syntax."""

@@ -47,7 +47,6 @@ read with its new schema.
 """
 from __future__ import annotations
 
-from functools import reduce
 from typing import Any
 
 from repro.core.rewrite import load_language, required_variables
@@ -62,6 +61,9 @@ _RULES = {
 }
 _NULL_RULES = dict.fromkeys(("$lt", "$lte", "$eq"), "is_missing")
 _NULL_RULES |= dict.fromkeys(("$gt", "$gte", "$ne"), "not_missing")
+#: The rules whose text does not enclose itself: the compiler puts their
+#: node in parentheses, so it stays one operand of the node around it
+_UNENCLOSED = frozenset(("eq", "ne", "gt", "lt", "ge", "le", "is_missing", "not_missing"))
 _ACCUMULATORS = {
     "$min": "min",
     "$max": "max",
@@ -107,7 +109,8 @@ def _single(spec: Any, what: str) -> tuple[str, Any]:
 def _spliced(op: str, args: list) -> list:
     """The operands of ``$and`` or ``$or`` (``op``), each operand that is an
     ``op`` of a list replaced by its own: MongoDB's ``$and`` takes any number,
-    so a chain of fused filters nests one level per operand, not two."""
+    so the operands fold into one balanced tree however the pipeline nests
+    them."""
     out = []
     for a in args:
         nested = isinstance(a, dict) and list(a) == [op] and isinstance(a[op], list)
@@ -169,8 +172,10 @@ class MongoEngine(SparkCompiler):
             raise MongoEngineError(f"unsupported operand {e!r}: {exc}") from None
 
     def _operator(self, op: str, arg: Any) -> str:
-        # one node: its sparksql.ini rule in one pair of parentheses, so it
-        # stays one operand of the node around it
+        # one node: its sparksql.ini rule, in one pair of parentheses where
+        # the rule's text has none of its own; the spliced operands of
+        # `$and` and `$or` nest as a balanced tree, so n of them nest
+        # ⌈log2 n⌉ deep
         if op == "$literal" and isinstance(arg, str):
             return self.spark_sql.literal(arg)
         if op not in _RULES:
@@ -182,11 +187,12 @@ class MongoEngine(SparkCompiler):
             args = _spliced(op, args)
         sql = [self._expr(a) for a in args]
         if rule in ("and", "or") and sql:
-            return f"({reduce(lambda x, y: self.spark_sql.apply(rule, left=x, right=y), sql)})"
+            return self.spark_sql.balanced(rule, sql)
         arity = 2 if "right" in required_variables(self.spark_sql.get(rule)) else 1
         if len(sql) != arity:
             raise MongoEngineError(f"{op} takes {arity} operand(s): {arg!r}")
-        return f"({self.spark_sql.apply(rule, left=sql[0], right=sql[-1], statement=sql[0])})"
+        text = self.spark_sql.apply(rule, left=sql[0], right=sql[-1], statement=sql[0])
+        return f"({text})" if rule in _UNENCLOSED else text
 
     # ------------------------------------------------------------------
     # stages

@@ -1,14 +1,17 @@
 """Print the code lines of every source file under ``src/``, their ``.py`` and
-``.ini`` subtotals, and their total.
+``.ini`` subtotals, and their total; beside an ``.ini`` file's count, the
+rules it lists.
 
 Run from the repository root: ``python -m tests.sloc``.
 
 A ``.py`` line counts when it holds code: blank lines, comment lines and the
 lines of a docstring (the string a module, class or function body starts
 with) do not. An ``.ini`` line counts unless it is blank or a ``;`` or ``#``
-comment. Two checkouts compare by their totals; a file's count is the one to
-quote for a change to it, and a subtotal the one for a change to the code or
-to the language configs.
+comment. An ``.ini`` rule is a ``key = template`` entry outside ``[META]``;
+a delta config counts only the rules it lists, so its count is what the
+language adds to its base. Two checkouts compare by their totals; a file's
+count is the one to quote for a change to it, and a subtotal the one for a
+change to the code or to the language configs.
 """
 from __future__ import annotations
 
@@ -56,6 +59,19 @@ def ini_lines(text: str) -> int:
     return sum(1 for line in text.splitlines() if line.strip() and line.strip()[0] not in ";#")
 
 
+def ini_rules(text: str) -> int:
+    """Rules an INI file lists: entries outside ``[META]``. A template's
+    continuation lines are indented, so an entry is a line that starts
+    with its key."""
+    rules, section = 0, None
+    for line in text.splitlines():
+        if line.startswith("["):
+            section = line.strip()
+        elif section != "[META]" and "=" in line and line[:1] not in " \t;#":
+            rules += 1
+    return rules
+
+
 def count(path: Path) -> int:
     text = path.read_text()
     return python_lines(text) if path.suffix == ".py" else ini_lines(text)
@@ -67,7 +83,8 @@ def main() -> None:
     for path in files:
         n = count(path)
         subtotals[path.suffix] += n
-        print(f"{n:6d}  {path.relative_to(SRC.parent)}")
+        rules = f"  {ini_rules(path.read_text())} rules" if path.suffix == ".ini" else ""
+        print(f"{n:6d}  {path.relative_to(SRC.parent)}{rules}")
     for suffix, n in subtotals.items():
         print(f"{n:6d}  {suffix}")
     print(f"{sum(subtotals.values()):6d}  total")

@@ -339,7 +339,8 @@ class TestChainedColumns:
         conn = RecordingConnector(language)
         pf = PolyFrame("T", "a", conn)
         x = functools.reduce(lambda col, _: col * 2 + 1, range(steps), pf["x"])
-        assert x.query == conn.rules.apply("q7", subquery=pf.query, statement=x.expr, alias=x.name)
+        alias = conn.rules.quoted(x.name, "alias_quote")
+        assert x.query == conn.rules.apply("q7", subquery=pf.query, statement=x.expr, alias=alias)
         assert conn.queries == []
 
     @pytest.mark.parametrize("language", BACKENDS)
@@ -710,7 +711,9 @@ class TestFilterFusion:
         applied = spy_rules(conn)
         rows.query
         assert query_rules(applied) == ["q1", "q6"]
-        assert rows.step == pf[(pf["k"] > 1) & (pf["x"] == 2)].step
+        both = pf[(pf["k"] > 1) & (pf["x"] == 2)]
+        assert rows.query == both.query
+        rows["x"] + both["k"]  # one frame: its columns combine
 
     def test_len_of_120_chained_filters(self, backend, wdata):
         # 120 nested q6s were past every Spark-backed language's analyzer
@@ -720,6 +723,41 @@ class TestFilterFusion:
         for i in range(120):
             pf, want = pf[pf["unique1"] != i], want[want["unique1"] != i]
         assert len(pf) == len(want) == len(wdata) - 120
+
+    def test_len_of_250_chained_filters(self, backend, wdata):
+        # their predicates join as a balanced tree, 8 deep: a left fold
+        # 250 deep was past every Spark-backed language's parser
+        _, conn = backend
+        pf, _ = polyframes(conn)
+        want = wdata
+        for i in range(250):
+            pf, want = pf[pf["unique1"] != i], want[want["unique1"] != i]
+        assert len(pf) == len(want) == len(wdata) - 250
+
+
+class TestIdentifierQuoting:
+    """A column name and an alias reach the rules in their language's
+    ``name_quote`` and ``alias_quote``, each quote inside them doubled."""
+
+    def test_sql_column_doubles_its_quote(self):
+        pf = PolyFrame("T", "a", RecordingConnector("sql"))
+        assert pf['a"b'].expr == 't."a""b"'
+
+    def test_sql_quoted_name_runs_on_duckdb(self):
+        conn, data = DuckDBConnector(), pd.DataFrame({'a"b': [1, 5, 3]})
+        conn.register("T", "a", data)
+        pf = PolyFrame("T", "a", conn)
+        assert pf['a"b'].max() == data['a"b'].max()
+        assert pf.sort_values('a"b').toPandas().equals(data.sort_values('a"b', ignore_index=True))
+
+    def test_sparksql_alias_doubles_its_backtick(self):
+        pf = PolyFrame("T", "a", RecordingConnector("sparksql"))
+        assert pf["a`b"].astype(str).query.startswith("SELECT CAST(t.a`b AS STRING) AS `a``b` FROM")
+
+    @pytest.mark.parametrize("language", ["sparksql", "sqlpp", "cypher"])
+    def test_column_name_stays_bare(self, language):
+        pf = PolyFrame("T", "a", RecordingConnector(language))
+        assert pf["k"].expr == "t.k"
 
 
 class TestUserDefinedRewrites:

@@ -17,6 +17,7 @@ from repro.core.rewrite import (
     MissingRewriteVariable,
     RewriteRules,
     UnknownRewriteRule,
+    _read,
     language_config_path,
     load_language,
     required_variables,
@@ -220,6 +221,22 @@ class TestDeltaConfigs:
         delta.write_text("[META]\nbase = sql\n[QUERIES]\nq1 = x\n")
         with pytest.raises(ValueError, match="names a base itself"):
             RewriteRules.from_file(delta)
+
+    @pytest.mark.parametrize("lang", LANGUAGES)
+    def test_delta_lists_no_rule_that_differs_from_its_base_only_by_quotes(self, lang):
+        # identifier quoting is declared in [META] (name_quote, alias_quote),
+        # so such a rule is one the delta need not list
+        def bare(rule):
+            return rule.replace('"', "").replace("`", "")
+
+        sections = _read(language_config_path(lang))
+        base = sections.pop("META").get("base")
+        rules = load_language(base) if base else RewriteRules({}, {})
+        same = [
+            key for entries in sections.values() for key, rule in entries.items()
+            if rules.has(key) and bare(rule) == bare(rules.get(key))
+        ]
+        assert same == []
 
     def test_key_set_twice_in_a_delta_raises(self, tmp_path):
         delta = tmp_path / "mini.ini"
